@@ -21,7 +21,7 @@ from .exact import are_cospectral, charpoly, charpoly_pyramid_factored, closed_f
 from .graph6 import graph6_decode, graph6_encode, to_dot
 from .graphs import FamilyKind, FamilySpec, Graph, make_family
 from .numeric import eigenvalues
-from .search import (cospectral_classes, enumerate_graphs, is_ds,
+from .search import (EnumerationReport, cospectral_classes, enumerate_graphs, is_ds,
                      smallest_non_cp_non_ds_order)
 
 _FAMILY_FLAGS = {
@@ -170,22 +170,24 @@ def _cmd_cp(args) -> int:
 def _cmd_enumerate(args) -> int:
     report = cospectral_classes(args.order, workers=args.workers)
     if args.csv:
-        _write_census_csv(args.csv, args.order, args.workers)
+        _write_census_csv(args.csv, report, args.workers)
     _emit(report.to_json(), args.format)
     return 0
 
 
-def _write_census_csv(path: str, order: int, workers: int) -> None:
+def _write_census_csv(path: str, report: EnumerationReport, workers: int) -> None:
+    """One row per graph; a graph is DS iff its charpoly class has one member."""
     import csv
 
+    has_mate = {g.bits for cls in report.nontrivial_classes for g in cls}
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["graph6", "charpoly", "is_ds", "is_cp"])
-        for g in enumerate_graphs(order, workers=workers):
+        for g in enumerate_graphs(report.order, workers=workers):
             writer.writerow([
                 graph6_encode(g),
                 " ".join(str(c) for c in charpoly(g).coeffs),
-                is_ds(g).is_ds,
+                g.bits not in has_mate,
                 is_cp_graph(g).is_cp,
             ])
 
@@ -303,3 +305,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -27,6 +27,7 @@ ENUMERATION_HARD_CAP = 8
 _SHARD_BITS = 8
 
 _enum_cache: dict[int, tuple[Graph, ...]] = {}
+_layer_cache: dict[tuple[int, int], tuple[Graph, ...]] = {}
 _class_cache: dict[int, "EnumerationReport"] = {}
 
 
@@ -34,10 +35,6 @@ def _check_enumeration_order(n: int) -> None:
     if not 1 <= n <= ENUMERATION_HARD_CAP:
         raise OrderCapError(
             f"enumeration supports 1 <= n <= {ENUMERATION_HARD_CAP}, got {n}")
-    if n > ENUMERATION_SOFT_CAP:
-        warnings.warn(
-            f"enumerating order {n} sweeps 2^{pair_count(n)} bitstrings; "
-            "this takes a while", ResourceWarning, stacklevel=3)
 
 
 def _shard_slice(shard: Optional[int], length: int, width: int) -> Optional[tuple[int, int]]:
@@ -49,16 +46,31 @@ def _shard_slice(shard: Optional[int], length: int, width: int) -> Optional[tupl
     return overlap, required
 
 
-def _enumerate_shard(args: tuple[int, Optional[int]]) -> list[int]:
-    """All canonical bitstrings of order n whose top byte matches the shard."""
-    n, shard = args
+def _enumerate_shard(args: tuple[int, Optional[int], Optional[int]]) -> list[int]:
+    """All canonical bitstrings of order n whose top byte matches the shard.
+
+    With an edge count set, only the bitstrings of that weight: a block is
+    skipped before its canonicity test when the prefix already has too many
+    edges, or too few to reach the count with the pairs still to come.
+    """
+    n, shard, edges = args
     if n == 1:
-        return [0]
+        return [0] if edges in (None, 0) else []
+    m = pair_count(n)
     out: list[int] = []
+
+    if edges is None:
+        def blocks(j: int, key: int, length: int) -> Iterable[int]:
+            return range(1 << j)
+    else:
+        def blocks(j: int, key: int, length: int) -> Iterable[int]:
+            most = edges - key.bit_count()
+            least = most - (m - length - j)
+            return [b for b in range(1 << j) if least <= b.bit_count() <= most]
 
     def extend(j: int, key: int, masks: list[int], length: int) -> None:
         constraint = _shard_slice(shard, length, j)
-        for b in range(1 << j):
+        for b in blocks(j, key, length):
             if constraint is not None:
                 overlap, required = constraint
                 if (b >> (j - overlap)) != required:
@@ -82,24 +94,41 @@ def _enumerate_shard(args: tuple[int, Optional[int]]) -> list[int]:
     return out
 
 
-def enumerate_graphs(n: int, workers: int = 1) -> tuple[Graph, ...]:
-    """One representative per isomorphism class of order n, ascending by bitstring."""
+def enumerate_graphs(n: int, workers: int = 1,
+                     edges: Optional[int] = None) -> tuple[Graph, ...]:
+    """One representative per isomorphism class of order n, ascending by bitstring.
+
+    With `edges` set, only the classes with that many edges: one layer of the
+    census, filtered from the full census when that is cached and enumerated
+    on its own otherwise.
+    """
     _check_enumeration_order(n)
-    if n in _enum_cache:
-        return _enum_cache[n]
+    if edges is not None:
+        if n in _enum_cache:
+            return tuple(g for g in _enum_cache[n] if g.edge_count == edges)
+        if (n, edges) not in _layer_cache:
+            _layer_cache[n, edges] = _enumerate(n, workers, edges)
+        return _layer_cache[n, edges]
+    if n not in _enum_cache:
+        if n > ENUMERATION_SOFT_CAP:
+            warnings.warn(
+                f"enumerating order {n} sweeps 2^{pair_count(n)} bitstrings; "
+                "this takes a while", ResourceWarning, stacklevel=2)
+        _enum_cache[n] = _enumerate(n, workers, None)
+    return _enum_cache[n]
+
+
+def _enumerate(n: int, workers: int, edges: Optional[int]) -> tuple[Graph, ...]:
     if pair_count(n) < _SHARD_BITS:
-        units: list[tuple[int, Optional[int]]] = [(n, None)]
+        units: list[tuple[int, Optional[int], Optional[int]]] = [(n, None, edges)]
     else:
-        units = [(n, s) for s in range(1 << _SHARD_BITS)]
+        units = [(n, s, edges) for s in range(1 << _SHARD_BITS)]
     if workers > 1 and len(units) > 1:
         with Pool(workers) as pool:
             per_unit = pool.map(_enumerate_shard, units)
     else:
         per_unit = [_enumerate_shard(u) for u in units]
-    keys = [k for chunk in per_unit for k in chunk]
-    graphs = tuple(Graph(n, k) for k in keys)
-    _enum_cache[n] = graphs
-    return graphs
+    return tuple(Graph(n, k) for chunk in per_unit for k in chunk)
 
 
 @dataclass(frozen=True)
@@ -164,16 +193,17 @@ class DsVerdict:
 
 
 def is_ds(g: Graph, workers: int = 1) -> DsVerdict:
-    """Exhaustively search all graphs of the same order for cospectral mates.
+    """Exhaustively search the graphs of g's order and edge count for cospectral mates.
 
-    Cospectral graphs share the charpoly degree, so equal order is the only
-    order that needs searching.
+    Cospectral graphs share the charpoly, hence its degree (the order) and
+    its coefficient -c_{n-2} (the edge count), so that one edge-count layer
+    of the census is the only part that needs searching.
     """
     _check_enumeration_order(g.order)
     poly = charpoly(g)
     own_key = canonical_form(g).key
     mates = tuple(
-        h for h in enumerate_graphs(g.order, workers=workers)
+        h for h in enumerate_graphs(g.order, workers=workers, edges=g.edge_count)
         if charpoly(h) == poly and h.bits != own_key
     )
     return DsVerdict(is_ds=not mates, mates=mates, searched_order=g.order)

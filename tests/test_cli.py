@@ -1,11 +1,19 @@
 """CLI surface: subcommands, determinism, error objects."""
 
+import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from specgraph import graph6_encode, pyramid_graph, star_graph
+from specgraph import (enumerate_graphs, graph6_decode, graph6_encode, is_ds,
+                       pyramid_graph, star_graph)
 from specgraph.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +113,28 @@ def test_enumerate_subcommand(capsys, tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "graph6,charpoly,is_ds,is_cp"
     assert len(lines) == 35
+
+
+@pytest.mark.parametrize("order", [5, 6])
+def test_enumerate_csv_is_ds_column_matches_is_ds(capsys, tmp_path, order):
+    csv_path = tmp_path / "census.csv"
+    run_cli(capsys, "enumerate", str(order), "--csv", str(csv_path))
+    with csv_path.open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == len(enumerate_graphs(order))
+    for row in rows:
+        assert row["is_ds"] == str(is_ds(graph6_decode(row["graph6"])).is_ds)
+
+
+@pytest.mark.parametrize("module", ["specgraph", "specgraph.cli"])
+def test_python_m_prints_what_main_prints(capsys, module):
+    _, expected = run_cli(capsys, "ds", "--star", "4")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", module, "ds", "--star", "4"],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
 
 
 def test_nu_subcommand_below_cap(capsys):

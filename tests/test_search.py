@@ -2,15 +2,21 @@
 
 import pytest
 
-from specgraph import (OrderCapError, ParameterError, are_cospectral, book_graph,
-                       burnside_graph_count, canonical_form, charpoly,
+from specgraph import (DsVerdict, OrderCapError, ParameterError, are_cospectral,
+                       book_graph, burnside_graph_count, canonical_form, charpoly,
                        cospectral_classes, cycle_graph, disjoint_union, empty_graph,
                        enumerate_graphs, is_connected, is_ds, is_isomorphic,
-                       pyramid_graph, smallest_non_cp_non_ds_order,
+                       pyramid_graph, search, smallest_non_cp_non_ds_order,
                        star_cospectral_mate, star_graph)
-from specgraph.graphs import Graph
+from specgraph.graphs import Graph, pair_count
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+
+
+def _cold_caches(monkeypatch):
+    """Empty enumeration caches until the test ends; the warm ones come back after."""
+    monkeypatch.setattr(search, "_enum_cache", {})
+    monkeypatch.setattr(search, "_layer_cache", {})
 
 
 def test_enumeration_counts_small():
@@ -55,12 +61,44 @@ def test_enumeration_caps():
         enumerate_graphs(0)
 
 
-def test_workers_shard_merge_equals_single_worker():
+def test_workers_shard_merge_equals_single_worker(monkeypatch):
     single = enumerate_graphs(5)
-    from specgraph import search
     search._enum_cache.pop(5, None)
     multi = enumerate_graphs(5, workers=2)
     assert single == multi
+
+    _cold_caches(monkeypatch)
+    single_layer = enumerate_graphs(7, edges=10)
+    search._layer_cache.clear()
+    assert enumerate_graphs(7, edges=10, workers=2) == single_layer
+
+
+def test_edge_layers_partition_the_census(monkeypatch):
+    for n in range(1, 8):
+        _cold_caches(monkeypatch)
+        layers = [enumerate_graphs(n, edges=e) for e in range(pair_count(n) + 1)]
+        assert sum(map(len, layers)) == burnside_graph_count(n)
+        full = enumerate_graphs(n)  # a full call after layer calls is still the census
+        assert len(full) == KNOWN_COUNTS[n]
+        for e, layer in enumerate(layers):
+            assert layer == tuple(g for g in full if g.edge_count == e)
+            assert enumerate_graphs(n, edges=e) == layer  # now filtered from the census
+
+
+def test_order8_seven_edge_layer_alone(monkeypatch):
+    _cold_caches(monkeypatch)
+    assert len(enumerate_graphs(8, edges=7)) == 115
+    assert 8 not in search._enum_cache  # the order-8 census was never swept
+
+
+def test_is_ds_matches_full_census_scan(monkeypatch):
+    for n in range(1, 7):
+        full = enumerate_graphs(n)
+        _cold_caches(monkeypatch)  # is_ds below must enumerate its own layers
+        for g in full:
+            poly = charpoly(g)
+            mates = tuple(h for h in full if charpoly(h) == poly and h.bits != g.bits)
+            assert is_ds(g) == DsVerdict(is_ds=not mates, mates=mates, searched_order=n)
 
 
 def test_cospectral_classes_small_orders():
