@@ -4,8 +4,7 @@ A graph is CP exactly when it contains no odd cycle of length >= 5 as a
 subgraph.  Detection is an exhaustive simple-path DFS with two prunings
 (bipartite components are skipped; vertices are peeled while their degree
 stays below 2), validated against a line-graph perfection cross-check on
-small instances.  A biconnected-component fast path sits behind a flag and
-must agree with the DFS everywhere it is tested.
+small instances.
 """
 
 from __future__ import annotations
@@ -142,82 +141,16 @@ def _paths_from(masks: list[int], active: int, anchor: int) -> Optional[list[int
     return extend(anchor, 1 << anchor)
 
 
-def _block_vertex_sets(g: Graph) -> list[list[int]]:
-    """Vertex sets of the biconnected components (Hopcroft-Tarjan, iterative)."""
-    masks = g.neighbor_masks()
-    disc = [-1] * g.order
-    low = [0] * g.order
-    parent = [-1] * g.order
-    stack: list[tuple[int, int]] = []
-    blocks: list[list[int]] = []
-    counter = 0
-    for root in range(g.order):
-        if disc[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, child = work[-1]
-            if child == 0:
-                disc[v] = low[v] = counter
-                counter += 1
-            advanced = False
-            for u in range(child, g.order):
-                work[-1] = (v, u + 1)
-                if not (masks[v] >> u) & 1:
-                    continue
-                if disc[u] == -1:
-                    parent[u] = v
-                    stack.append((v, u))
-                    work.append((u, 0))
-                    advanced = True
-                    break
-                if u != parent[v] and disc[u] < disc[v]:
-                    stack.append((v, u))
-                    low[v] = min(low[v], disc[u])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                p = work[-1][0]
-                low[p] = min(low[p], low[v])
-                if low[v] >= disc[p]:
-                    verts = set()
-                    while stack and stack[-1] != (p, v):
-                        a, b = stack.pop()
-                        verts.update((a, b))
-                    if stack:
-                        a, b = stack.pop()
-                        verts.update((a, b))
-                    if verts:
-                        blocks.append(sorted(verts))
-    return blocks
-
-
-def find_long_odd_cycle(g: Graph, *, use_block_decomposition: bool = False
-                        ) -> Optional[list[int]]:
+def find_long_odd_cycle(g: Graph) -> Optional[list[int]]:
     """A simple odd cycle of length >= 5 given as a vertex list, or None.
 
     "Contains" means as a subgraph, not induced.  Exhaustive within the order
-    cap; the block-decomposition path is the optional fast route and returns
-    the same verdict.
+    cap.
     """
     if g.order > LONG_ODD_CYCLE_ORDER_CAP:
         raise OrderCapError(
             f"long-odd-cycle search capped at order {LONG_ODD_CYCLE_ORDER_CAP}")
     masks = g.neighbor_masks()
-    if use_block_decomposition:
-        for verts in _block_vertex_sets(g):
-            if len(verts) < 5:
-                continue
-            if _component_bipartite(masks, verts):
-                continue
-            mask = 0
-            for v in verts:
-                mask |= 1 << v
-            found = _dfs_long_odd_cycle(masks, mask)
-            if found is not None:
-                return found
-        return None
     for comp in connected_components(g):
         if len(comp) < 5:
             continue

@@ -1,8 +1,9 @@
 """Floating-point spectra via cyclic Jacobi rotations, plus spectral counting.
 
-Integer thresholds in the eigenvalue-counting operations are routed through
-exact Sturm-chain analysis of the integer characteristic polynomial, because
-the structural arguments count eigenvalues relative to -1 and 0 and must not
+Integer and Fraction thresholds in the eigenvalue-counting operations are
+counted exactly on the integer characteristic polynomial (Descartes' rule of
+signs, exact because an adjacency charpoly is real-rooted), because the
+structural arguments count eigenvalues relative to -1 and 0 and must not
 depend on numeric error.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import ParameterError
 from .exact import ClosedFormSpectrum, charpoly
 from .graphs import Graph, induced_subgraph
-from .polynomials import count_roots_geq, count_roots_leq
+from .polynomials import real_rooted_counts
 
 JACOBI_OFFDIAG_TOL = 1e-12
 CLUSTER_TOL = 1e-7
@@ -125,14 +126,16 @@ Threshold = Union[int, float, Fraction]
 def count_leq(g: Graph, a: Threshold) -> int:
     """Eigenvalues of g that are <= a; exact when a is an integer or Fraction."""
     if isinstance(a, (int, Fraction)) and not isinstance(a, bool):
-        return count_roots_leq(charpoly(g), a)
+        above, _ = real_rooted_counts(charpoly(g), a)
+        return g.order - above
     return sum(1 for v in eigenvalues(g).values if v <= a)
 
 
 def count_geq(g: Graph, a: Threshold) -> int:
     """Eigenvalues of g that are >= a; exact when a is an integer or Fraction."""
     if isinstance(a, (int, Fraction)) and not isinstance(a, bool):
-        return count_roots_geq(charpoly(g), a)
+        above, at = real_rooted_counts(charpoly(g), a)
+        return above + at
     return sum(1 for v in eigenvalues(g).values if v >= a)
 
 

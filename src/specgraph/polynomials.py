@@ -1,15 +1,15 @@
-"""Exact polynomial arithmetic: integer polynomials, Sturm chains, root counting.
+"""Exact polynomial arithmetic: integer polynomials and real-root counting.
 
-Coefficients run from the highest degree down.  Everything here is exact --
-integers or fractions -- because cospectrality decisions and eigenvalue
-counts at integer thresholds must never depend on floating point.
+Coefficients run from the highest degree down.  Everything here is exact
+integer arithmetic, because cospectrality decisions and eigenvalue counts at
+rational thresholds must never depend on floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 from .errors import ParameterError
 
@@ -165,162 +165,26 @@ def divmod_by_monic(p: IntPolynomial, d: IntPolynomial) -> tuple[IntPolynomial, 
     return IntPolynomial(tuple(quot)), IntPolynomial(tuple(rem[len(quot):]) or (0,))
 
 
-# ---------------------------------------------------------------------------
-# rational polynomial helpers (tuples of Fraction, highest degree first)
-# ---------------------------------------------------------------------------
+def real_rooted_counts(p: IntPolynomial, a: Scalar) -> tuple[int, int]:
+    """(roots of p strictly above a, multiplicity of a as a root of p).  Exact.
 
-RatPoly = tuple[Fraction, ...]
+    Precondition: every root of p is real, as for the characteristic
+    polynomial of a symmetric matrix.  The count is Descartes' rule of signs
+    on p shifted so that a sits at 0, which is exact only for real-rooted
+    input: for x^2 + 1 and a = 0 it would report both roots as <= 0.
 
-_R_ZERO: RatPoly = (Fraction(0),)
-
-
-def rat_poly(p: Union[IntPolynomial, Sequence[Scalar]]) -> RatPoly:
-    coeffs = p.coeffs if isinstance(p, IntPolynomial) else p
-    out = tuple(Fraction(c) for c in coeffs)
-    return _r_trim(out)
-
-
-def _r_trim(p: RatPoly) -> RatPoly:
-    i = 0
-    while i < len(p) - 1 and p[i] == 0:
-        i += 1
-    return tuple(p[i:])
-
-
-def _r_degree(p: RatPoly) -> int:
-    return len(p) - 1
-
-
-def _r_is_zero(p: RatPoly) -> bool:
-    return len(p) == 1 and p[0] == 0
-
-
-def _r_eval(p: RatPoly, x: Scalar) -> Fraction:
-    acc = Fraction(0)
-    for c in p:
-        acc = acc * x + c
-    return acc
-
-
-def _r_derivative(p: RatPoly) -> RatPoly:
-    d = _r_degree(p)
-    if d == 0:
-        return _R_ZERO
-    return _r_trim(tuple(c * (d - i) for i, c in enumerate(p[:-1])))
-
-
-def _r_monic(p: RatPoly) -> RatPoly:
-    if _r_is_zero(p):
-        return p
-    lead = p[0]
-    return tuple(c / lead for c in p)
-
-
-def _r_divmod(p: RatPoly, d: RatPoly) -> tuple[RatPoly, RatPoly]:
-    if _r_is_zero(d):
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    dn = _r_degree(d)
-    if _r_degree(p) < dn:
-        return _R_ZERO, p
-    quot = [Fraction(0)] * (_r_degree(p) - dn + 1)
-    for i in range(len(quot)):
-        q = rem[i] / d[0]
-        quot[i] = q
-        if q:
-            for j, c in enumerate(d):
-                rem[i + j] -= q * c
-    return _r_trim(tuple(quot)), _r_trim(tuple(rem[len(quot):]) or (Fraction(0),))
-
-
-def _r_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
-    """Monic gcd via the Euclidean algorithm."""
-    while not _r_is_zero(b):
-        a, b = b, _r_divmod(a, b)[1]
-    return _r_monic(a)
-
-
-def _to_int_poly(p: RatPoly) -> IntPolynomial:
-    if any(c.denominator != 1 for c in p):
-        raise ParameterError(f"expected integer coefficients, got {p}")
-    return IntPolynomial(tuple(int(c) for c in p))
-
-
-def squarefree_factors(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
-    """Decompose a monic integer polynomial as prod(q_i ** i) with q_i squarefree.
-
-    Returns the nontrivial (q_i, i) pairs.  Monic rational factors of a monic
-    integer polynomial are integral, so the results stay integer polynomials.
+    With a = r/s (s > 0), the integer polynomial s^n p((y + r)/s) has the
+    root s*x - r for each root x of p, so roots above a become positive roots
+    and a becomes the root 0.
     """
-    if not p.is_monic:
-        raise ParameterError("squarefree decomposition expects a monic polynomial")
-    f = rat_poly(p)
-    if _r_degree(f) == 0:
-        return []
-    g = _r_gcd(f, _r_derivative(f))          # prod q_i^(i-1)
-    w = _r_divmod(f, g)[0]                   # prod q_i
-    out = []
-    i = 1
-    while _r_degree(w) > 0:
-        y = _r_gcd(w, g)                     # factors of multiplicity > i
-        qi = _r_divmod(w, y)[0]
-        if _r_degree(qi) > 0:
-            out.append((_to_int_poly(_r_monic(qi)), i))
-        w = y
-        g = _r_divmod(g, y)[0]
-        i += 1
-    return out
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _sturm_chain(q: RatPoly) -> list[RatPoly]:
-    chain = [q, _r_derivative(q)]
-    while _r_degree(chain[-1]) > 0:
-        rem = _r_divmod(chain[-2], chain[-1])[1]
-        if _r_is_zero(rem):
-            break  # cannot happen for squarefree input
-        chain.append(tuple(-c for c in rem))
-    return chain
-
-
-def _sign_changes(signs: list[int]) -> int:
-    seq = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
-
-
-def _sturm_count_leq(q: RatPoly, a: Scalar) -> int:
-    """Distinct real roots of squarefree q in (-inf, a]; requires q(a) != 0."""
-    chain = _sturm_chain(q)
-    at_minus_inf = [_sign(p[0]) * (-1 if _r_degree(p) % 2 else 1) for p in chain]
-    at_a = [_sign(_r_eval(p, a)) for p in chain]
-    return _sign_changes(at_minus_inf) - _sign_changes(at_a)
-
-
-def root_multiplicity(p: IntPolynomial, a: Scalar) -> int:
-    """Multiplicity of a as a root of p (0 if not a root)."""
-    return sum(i for q, i in squarefree_factors(p) if q.evaluate(a) == 0)
-
-
-def count_roots_leq(p: IntPolynomial, a: Scalar) -> int:
-    """Real roots of p that are <= a, counted with multiplicity.  Exact."""
-    total = 0
-    for q, mult in squarefree_factors(p):
-        qq = rat_poly(q)
-        if _r_eval(qq, a) == 0:
-            total += mult
-            qq = _r_divmod(qq, (Fraction(1), -Fraction(a)))[0]
-            if _r_degree(qq) == 0:
-                continue
-        total += mult * _sturm_count_leq(qq, a)
-    return total
-
-
-def count_roots_geq(p: IntPolynomial, a: Scalar) -> int:
-    """Real roots of p that are >= a, counted with multiplicity.  Exact.
-
-    Valid for polynomials with all roots real (symmetric-matrix spectra).
-    """
-    return p.degree - count_roots_leq(p, a) + root_multiplicity(p, a)
+    r, s = a.numerator, a.denominator
+    n = p.degree
+    c = [coef * s ** i for i, coef in enumerate(p.coeffs)]   # s^n p(y/s)
+    for i in range(n):                                        # Taylor shift by r
+        for j in range(1, n + 1 - i):
+            c[j] += r * c[j - 1]
+    at = 0
+    while at < n and c[n - at] == 0:
+        at += 1
+    signs = [x > 0 for x in c[:n + 1 - at] if x]
+    return sum(u != v for u, v in zip(signs, signs[1:])), at

@@ -134,18 +134,3 @@ def test_cross_check_agrees_with_cycle_search_small():
         for g in enumerate_graphs(n):
             if g.edge_count <= 10:
                 assert line_graph_perfection_cross_check(g) == is_cp_graph(g).is_cp
-
-
-def test_block_decomposition_path_agrees(rng):
-    for n in range(1, 7):
-        for g in enumerate_graphs(n):
-            fast = find_long_odd_cycle(g, use_block_decomposition=True)
-            slow = find_long_odd_cycle(g)
-            assert (fast is None) == (slow is None)
-            if fast is not None:
-                assert check_long_odd_cycle_witness(g, fast)
-    for _ in range(150):
-        g = random_graph(rng, rng.randint(7, 10))
-        fast = find_long_odd_cycle(g, use_block_decomposition=True)
-        slow = find_long_odd_cycle(g)
-        assert (fast is None) == (slow is None)

@@ -1,17 +1,19 @@
 """Jacobi eigensolver, walk counts, eigenvalue counting, interlacing."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import random_graph
-from specgraph import (FamilyKind, FamilySpec, Graph, ParameterError, charpoly,
-                       closed_form_spectrum, closed_walk_count, complete_graph,
+from specgraph import (FamilyKind, FamilySpec, Graph, ParameterError, characteristic_matrix,
+                       charpoly, closed_form_spectrum, closed_walk_count, complete_graph,
                        count_geq, count_leq, cycle_graph, eigenvalues, empty_graph,
                        jacobi_eigenvalues, match_closed_form, path_graph,
                        pyramid_graph, star_graph, verify_interlacing)
 from specgraph.numeric import NumericSpectrum
+from specgraph.search import enumerate_graphs
 from specgraph.verify import OCTAHEDRON_LESS_EDGE_ROWS, OCTAHEDRON_ROWS
 
 
@@ -112,6 +114,17 @@ def test_count_exact_matches_numeric(rng):
             assert count_leq(g, a) == int((vals <= a + 1e-9).sum())
             assert count_geq(g, a) == int((vals >= a - 1e-9).sum())
 
+
+
+def test_exact_multiplicity_equals_nullity_of_characteristic_matrix():
+    # A symmetric matrix is diagonalizable, so the algebraic multiplicity of a
+    # counts as n - rank(aI - A), an oracle independent of the charpoly.
+    thresholds = list(range(-3, 3)) + [Fraction(1, 2), Fraction(-5, 3)]
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            for a in thresholds:
+                multiplicity = count_leq(g, a) + count_geq(g, a) - n
+                assert multiplicity == n - characteristic_matrix(g, a).rank()
 
 def test_interlacing_examples():
     # eigenvalues of an adjacent pair inside the 3-path: -sqrt2 <= -1 <= 0 <= 1 <= sqrt2

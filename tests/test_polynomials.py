@@ -1,4 +1,4 @@
-"""Integer polynomial arithmetic, square-free decomposition, Sturm counting."""
+"""Integer polynomial arithmetic and exact real-root counting."""
 
 from fractions import Fraction
 
@@ -7,10 +7,15 @@ import pytest
 
 from conftest import random_graph
 from specgraph import IntPolynomial, ParameterError, charpoly
-from specgraph.polynomials import (count_roots_geq, count_roots_leq, divmod_by_monic,
-                                   root_multiplicity, squarefree_factors)
+from specgraph.polynomials import divmod_by_monic, real_rooted_counts
 
 X = IntPolynomial.x()
+
+
+def leq_geq(p, a):
+    """(roots <= a, roots >= a) with multiplicity, from real_rooted_counts."""
+    above, at = real_rooted_counts(p, a)
+    return p.degree - above, above + at
 
 
 def test_basic_arithmetic():
@@ -45,33 +50,20 @@ def test_divmod_by_monic():
         divmod_by_monic(p, IntPolynomial.of(2, 1))
 
 
-def test_squarefree_factors():
-    p = IntPolynomial.of(1, 0, -3, -2)  # (x-2)(x+1)^2
-    assert squarefree_factors(p) == [
-        (IntPolynomial.of(1, -2), 1), (IntPolynomial.of(1, 1), 2)]
-    assert squarefree_factors(X ** 5) == [(X, 5)]
-    cube = (X - IntPolynomial.of(3)) ** 3 * (X + IntPolynomial.of(1))
-    assert squarefree_factors(cube) == [
-        (IntPolynomial.of(1, 1), 1), (IntPolynomial.of(1, -3), 3)]
-
-
 def test_root_counting_known_polynomials():
     triangle = IntPolynomial.of(1, 0, -3, -2)  # roots 2, -1, -1
-    assert count_roots_leq(triangle, -1) == 2
-    assert count_roots_leq(triangle, 0) == 2
-    assert count_roots_leq(triangle, 2) == 3
-    assert count_roots_geq(triangle, -1) == 3
-    assert count_roots_geq(triangle, 0) == 1
-    assert root_multiplicity(triangle, -1) == 2
-    assert root_multiplicity(triangle, 2) == 1
-    assert root_multiplicity(triangle, 5) == 0
+    assert leq_geq(triangle, -1) == (2, 3)
+    assert leq_geq(triangle, 0) == (2, 1)
+    assert leq_geq(triangle, 2)[0] == 3
+    assert [real_rooted_counts(triangle, a)[1] for a in (-1, 2, 5)] == [2, 1, 0]
+    assert real_rooted_counts(X ** 5, 0) == (0, 5)
 
 
 def test_root_counting_with_fraction_threshold():
     p = IntPolynomial.of(1, 0, -2)  # roots +-sqrt(2)
-    assert count_roots_leq(p, Fraction(3, 2)) == 2
-    assert count_roots_leq(p, Fraction(-3, 2)) == 0
-    assert count_roots_geq(p, Fraction(0)) == 1
+    assert leq_geq(p, Fraction(3, 2))[0] == 2
+    assert leq_geq(p, Fraction(-3, 2))[0] == 0
+    assert leq_geq(p, Fraction(0))[1] == 1
 
 
 def test_root_counting_matches_numeric_on_graph_charpolys(rng):
@@ -82,9 +74,8 @@ def test_root_counting_matches_numeric_on_graph_charpolys(rng):
         for a in range(-3, 4):
             # adjacency eigenvalues carry ~1e-14 error, far below the 1e-9 slack
             expected = int((roots <= a + 1e-9).sum())
-            assert count_roots_leq(p, a) == expected
             expected_geq = int((roots >= a - 1e-9).sum())
-            assert count_roots_geq(p, a) == expected_geq
+            assert leq_geq(p, a) == (expected, expected_geq)
 
 
 def test_string_rendering():
