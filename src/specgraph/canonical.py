@@ -6,6 +6,15 @@ pair order is column-major, placing one more vertex fixes the next block of
 bits, so a partial ordering can be compared against (and pruned by) the best
 known string before it is complete.  Vertex degrees only steer the candidate
 order inside the search; the exact prefix bound does the pruning.
+
+Twins are pruned as well.  Vertices u and w are twins when
+N(u) minus w equals N(w) minus u.  Swapping two twins that are both still
+unplaced is an automorphism that fixes every placed vertex, so it maps the
+subtree that places u next onto the subtree that places w next, string for
+string.  Once one twin has been tried at a depth, the others are skipped
+there.  Twins have equal blocks, so the skip never changes which block is
+smallest, and the result is still the minimum over all orderings.  The pruning
+uses automorphisms only: it removes duplicate subtrees and changes no key.
 """
 
 from __future__ import annotations
@@ -38,18 +47,20 @@ def _prefix_of(key: int, total_bits: int, length: int) -> int:
     return key >> (total_bits - length)
 
 
+def _twin_masks(n: int, masks: list[int]) -> list[int]:
+    """Bit w of entry u is set iff u and w are twins: N(u) - {w} == N(w) - {u}."""
+    twins = [0] * n
+    for u in range(n):
+        for w in range(u):
+            if not (masks[u] ^ masks[w]) & ~((1 << u) | (1 << w)):
+                twins[u] |= 1 << w
+                twins[w] |= 1 << u
+    return twins
+
+
 def min_key(n: int, masks: list[int]) -> int:
     """Minimal bitstring over all vertex orderings of the graph given by masks."""
     m = pair_count(n)
-    if n == 1:
-        return 0
-    full = (1 << m) - 1
-    if all(mask == 0 for mask in masks):
-        return 0
-    expected = ((1 << n) - 1)
-    if all(mask == expected ^ (1 << v) for v, mask in enumerate(masks)):
-        return full
-
     degs = [mask.bit_count() for mask in masks]
     order_hint = sorted(range(n), key=lambda v: degs[v])
 
@@ -66,11 +77,13 @@ def min_key(n: int, masks: list[int]) -> int:
         return key
 
     best = greedy()
+    twins = _twin_masks(n, masks)
 
     def descend(depth: int, prefix: int, length: int, vals: list[tuple[int, int]]) -> None:
         nonlocal best
         width = depth  # block width at this depth
         by_block = sorted(vals, key=lambda t: t[1])
+        tried = 0
         for u, b in by_block:
             cand = (prefix << width) | b
             if cand > _prefix_of(best, m, length + width):
@@ -79,10 +92,17 @@ def min_key(n: int, masks: list[int]) -> int:
                 if cand < best:
                     best = cand
                 continue
+            if twins[u] & tried:
+                continue  # a twin's subtree already held the same strings
+            tried |= 1 << u
             nxt = [(w, (v << 1) | ((masks[w] >> u) & 1)) for w, v in vals if w != u]
             descend(depth + 1, cand, length + width, nxt)
 
+    tried = 0
     for v0 in order_hint:
+        if twins[v0] & tried:
+            continue
+        tried |= 1 << v0
         vals = [(u, (masks[u] >> v0) & 1) for u in range(n) if u != v0]
         descend(1, 0, 0, vals)
     return best
@@ -98,6 +118,7 @@ def is_min_key(n: int, masks: list[int], key: int) -> bool:
     for j in range(1, n):
         pos -= j
         tblocks[j] = (key >> pos) & ((1 << j) - 1)
+    twins = _twin_masks(n, masks)
 
     def descend(depth: int, vals: list[tuple[int, int]]) -> bool:
         tb = tblocks[depth]
@@ -109,13 +130,21 @@ def is_min_key(n: int, masks: list[int], key: int) -> bool:
                 equal.append(u)
         if depth == n - 1:
             return True
+        tried = 0
         for u in equal:
+            if twins[u] & tried:
+                continue
+            tried |= 1 << u
             nxt = [(w, (v << 1) | ((masks[w] >> u) & 1)) for w, v in vals if w != u]
             if not descend(depth + 1, nxt):
                 return False
         return True
 
+    tried = 0
     for v0 in range(n):
+        if twins[v0] & tried:
+            continue
+        tried |= 1 << v0
         vals = [(u, (masks[u] >> v0) & 1) for u in range(n) if u != v0]
         if not descend(1, vals):
             return False

@@ -206,7 +206,8 @@ def _cmd_verify(args) -> int:
     results = verify_mod.run_all(workers=args.workers)
     if args.format == "json":
         _emit_json({"checks": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
+            {"name": r.name, "passed": r.passed, "detail": r.detail,
+             "elapsed_s": round(r.elapsed_s, 3)} for r in results
         ], "all_passed": all(r.passed for r in results)})
     else:
         width = max(len(r.name) for r in results)

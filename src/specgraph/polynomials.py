@@ -65,12 +65,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "IntPolynomial":
-        d = self.degree
-        if d == 0:
-            return IntPolynomial((0,))
-        return IntPolynomial(tuple(c * (d - i) for i, c in enumerate(self.coeffs[:-1])))
-
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):

@@ -282,6 +282,17 @@ def _partitions(n: int, least: int = 1) -> Iterable[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def _cycle_type_size(n: int, part: tuple[int, ...]) -> int:
+    """Number of permutations of n points whose cycle lengths are part."""
+    perms = math.factorial(n)
+    counts: dict[int, int] = {}
+    for c in part:
+        counts[c] = counts.get(c, 0) + 1
+    for c, mult in counts.items():
+        perms //= c ** mult * math.factorial(mult)
+    return perms
+
+
 def burnside_graph_count(n: int) -> int:
     """Number of unlabeled simple graphs on n vertices by orbit counting.
 
@@ -290,15 +301,38 @@ def burnside_graph_count(n: int) -> int:
     """
     total = 0
     for part in _partitions(n):
-        perms = math.factorial(n)
-        counts: dict[int, int] = {}
-        for c in part:
-            counts[c] = counts.get(c, 0) + 1
-        for c, mult in counts.items():
-            perms //= c ** mult * math.factorial(mult)
+        perms = _cycle_type_size(n, part)
         pair_cycles = sum(c // 2 for c in part)
         pair_cycles += sum(
             math.gcd(part[i], part[j])
             for i in range(len(part)) for j in range(i + 1, len(part)))
         total += perms * (1 << pair_cycles)
     return total // math.factorial(n)
+
+
+def burnside_layer_counts(n: int) -> list[int]:
+    """Number of unlabeled graphs on n vertices with e edges, for e = 0..C(n, 2).
+
+    Polya's form of burnside_graph_count: a pair cycle of length l contributes
+    1 + x^l instead of 2, so the coefficient of x^e counts the classes with e
+    edges.  A cycle of length c holds (c - 1) // 2 pair cycles of length c,
+    plus one of length c / 2 when c is even; two cycles of lengths a and b
+    hold gcd(a, b) pair cycles of length lcm(a, b).
+    """
+    m = pair_count(n)
+    total = [0] * (m + 1)
+    for part in _partitions(n):
+        lengths = [c for c in part for _ in range((c - 1) // 2)]
+        lengths += [c // 2 for c in part if c % 2 == 0]
+        lengths += [
+            math.lcm(a, b)
+            for i, a in enumerate(part) for b in part[i + 1:]
+            for _ in range(math.gcd(a, b))]
+        poly = [1] + [0] * m
+        for l in lengths:
+            for e in range(m, l - 1, -1):
+                poly[e] += poly[e - l]
+        perms = _cycle_type_size(n, part)
+        for e, c in enumerate(poly):
+            total[e] += perms * c
+    return [t // math.factorial(n) for t in total]

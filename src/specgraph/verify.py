@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Optional
 
 from . import search as search_mod
 from .canonical import canonical_form
@@ -64,6 +64,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    elapsed_s: Optional[float] = None  # wall-clock seconds, set by run_all
 
 
 def _result(name: str, failures: list[str], detail_ok: str) -> CheckResult:
@@ -419,10 +420,13 @@ ALL_CHECKS: tuple[tuple[str, Callable[[int], CheckResult]], ...] = (
 
 
 def run_all(workers: int = 1) -> list[CheckResult]:
+    """Run every check in order, each timed with its elapsed_s."""
     results = []
     for name, check in ALL_CHECKS:
+        start = time.perf_counter()
         try:
-            results.append(check(workers))
+            result = check(workers)
         except Exception as exc:  # a crash counts as a failure, not a traceback
-            results.append(CheckResult(name, False, f"error: {exc!r}"))
+            result = CheckResult(name, False, f"error: {exc!r}")
+        results.append(replace(result, elapsed_s=time.perf_counter() - start))
     return results

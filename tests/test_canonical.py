@@ -5,7 +5,8 @@ import pytest
 from conftest import brute_force_isomorphic, random_graph
 from specgraph import (Graph, OrderCapError, canonical_form, complement,
                        complete_graph, cycle_graph, disjoint_union, empty_graph,
-                       is_isomorphic, path_graph, relabel, star_graph)
+                       is_isomorphic, path_graph, pyramid_graph, relabel,
+                       star_graph)
 from specgraph.canonical import is_min_key
 
 
@@ -41,15 +42,16 @@ def test_canonical_key_is_minimal_bitstring(rng):
 
 def _brute_force_min_bits(g):
     from itertools import permutations
+    edges = list(g.edges())
     return min(
-        Graph.from_edges(g.order, [(p[u], p[v]) for u, v in g.edges()]).bits
+        Graph.from_edges(g.order, [(p[u], p[v]) for u, v in edges]).bits
         for p in permutations(range(g.order)))
 
 
 def test_canonical_key_equals_brute_force_minimum(rng):
-    # exhaustive at order <= 4, sampled above
+    # exhaustive at order <= 5, sampled above
     from specgraph.graphs import pair_count
-    for n in range(1, 5):
+    for n in range(1, 6):
         for bits in range(1 << pair_count(n)):
             g = Graph(n, bits)
             best = _brute_force_min_bits(g)
@@ -58,6 +60,40 @@ def test_canonical_key_equals_brute_force_minimum(rng):
     for _ in range(40):
         g = random_graph(rng, rng.randint(5, 7))
         assert canonical_form(g).key == _brute_force_min_bits(g)
+
+
+def _min_over_clique_placements(n, k):
+    """Smallest bitstring of K_k joined to n - k independent vertices.
+
+    Every labelling of that graph is fixed by the label set of its clique, so
+    the minimum over the C(n, k) placements is the minimum over all orderings.
+    """
+    from itertools import combinations
+    return min(
+        Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v)
+                             if u in clique or v in clique]).bits
+        for clique in map(set, combinations(range(n), k)))
+
+
+def _twin_rich_graphs():
+    """Pyramids T_{n,k}, 2 <= k < n <= 10, and the stars with up to 9 leaves."""
+    for n in range(3, 11):
+        for k in range(2, n):
+            yield n, k, pyramid_graph(n, k)
+    for leaves in range(1, 10):
+        yield leaves + 1, 1, star_graph(leaves)
+
+
+def test_twin_rich_keys_equal_minimum_over_placements():
+    for n, k, g in _twin_rich_graphs():
+        assert canonical_form(g).key == _min_over_clique_placements(n, k), (n, k)
+
+
+def test_twin_rich_forms_survive_relabelling(rng):
+    for n, _, g in _twin_rich_graphs():
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert canonical_form(relabel(g, perm)) == canonical_form(g)
 
 
 def test_extreme_graphs():

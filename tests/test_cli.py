@@ -156,6 +156,27 @@ def test_table_format(capsys):
     assert "coefficients: [1, 0, -3, -2]" in out
 
 
+def test_verify_json_reports_time_per_check(capsys, monkeypatch):
+    from specgraph import verify
+
+    def crash(workers):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "ALL_CHECKS", (
+        ("enumeration-counts", verify.check_enumeration_counts),
+        ("crash", crash),
+    ))
+    code, out = run_cli(capsys, "verify", "--format", "json")
+    payload = json.loads(out)
+    assert code == 1 and payload["all_passed"] is False
+    assert [c["name"] for c in payload["checks"]] == ["enumeration-counts", "crash"]
+    assert [c["passed"] for c in payload["checks"]] == [True, False]
+    assert all(c["elapsed_s"] >= 0 for c in payload["checks"])
+
+    code, out = run_cli(capsys, "verify")  # the table carries no times
+    assert out.splitlines()[1] == "crash               FAIL  error: RuntimeError('boom')"
+
+
 def test_error_object_on_bad_graph6(capsys):
     code, out = run_cli(capsys, "cp", "D~~~~")
     assert code == 1

@@ -30,6 +30,16 @@ def test_burnside_oracle_matches_known_counts():
     assert burnside_graph_count(8) == 12346
 
 
+def test_burnside_layer_counts_refine_the_graph_count():
+    for n in range(1, 11):
+        layers = search.burnside_layer_counts(n)
+        assert len(layers) == pair_count(n) + 1
+        assert sum(layers) == burnside_graph_count(n)
+        assert layers == layers[::-1]  # complementing swaps layers e and m - e
+    assert search.burnside_layer_counts(8)[7] == 115
+    assert search.burnside_layer_counts(9)[15] == 21933
+
+
 def test_enumerated_representatives_are_canonical_and_distinct():
     for n in range(1, 7):
         graphs = enumerate_graphs(n)
@@ -77,7 +87,7 @@ def test_edge_layers_partition_the_census(monkeypatch):
     for n in range(1, 8):
         _cold_caches(monkeypatch)
         layers = [enumerate_graphs(n, edges=e) for e in range(pair_count(n) + 1)]
-        assert sum(map(len, layers)) == burnside_graph_count(n)
+        assert list(map(len, layers)) == search.burnside_layer_counts(n)
         full = enumerate_graphs(n)  # a full call after layer calls is still the census
         assert len(full) == KNOWN_COUNTS[n]
         for e, layer in enumerate(layers):
