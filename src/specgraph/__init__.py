@@ -8,7 +8,7 @@ complete-positivity classification via long-odd-cycle detection.
 
 from .canonical import CanonicalForm, canonical_form, is_isomorphic
 from .cp import (CpReason, CpVerdict, find_long_odd_cycle, is_bipartite, is_cp_graph,
-                 is_doubly_nonnegative, line_graph_perfection_cross_check)
+                 line_graph_perfection_cross_check)
 from .errors import (Graph6Error, NotGraphPolynomialError, OrderCapError,
                      ParameterError, SingularMatrixError, SpecGraphError)
 from .exact import (ClosedFormSpectrum, QuadraticSurd, are_cospectral, characteristic_matrix,
@@ -17,13 +17,11 @@ from .exact import (ClosedFormSpectrum, QuadraticSurd, are_cospectral, character
 from .graph6 import graph6_decode, graph6_encode, to_dot
 from .graphs import (FamilyKind, FamilySpec, Graph, book_graph, complement,
                      complete_bipartite_graph, complete_graph, connected_components,
-                     cycle_graph, disjoint_union, empty_graph, graph_of_matrix,
-                     induced_subgraph, is_acyclic, is_connected, is_tree, join,
-                     line_graph, make_family, path_graph, pyramid_graph, relabel,
-                     star_graph)
-from .numeric import (NumericSpectrum, closed_walk_count, count_geq, count_leq,
-                      eigenvalues, jacobi_eigenvalues, match_closed_form,
-                      verify_interlacing)
+                     cycle_graph, disjoint_union, empty_graph, induced_subgraph,
+                     is_connected, join, line_graph, make_family, path_graph,
+                     pyramid_graph, relabel, star_graph)
+from .numeric import (NumericSpectrum, count_geq, count_leq, eigenvalues,
+                      match_closed_form, verify_interlacing)
 from .polynomials import FactoredIntPolynomial, IntPolynomial
 from .rational import RationalMatrix, schur_complement, verify_schur_identities
 from .search import (DsVerdict, EnumerationReport, NuSearchResult, burnside_graph_count,

@@ -180,16 +180,19 @@ def _write_census_csv(path: str, report: EnumerationReport, workers: int) -> Non
     import csv
 
     has_mate = {g.bits for cls in report.nontrivial_classes for g in cls}
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["graph6", "charpoly", "is_ds", "is_cp"])
-        for g in enumerate_graphs(report.order, workers=workers):
-            writer.writerow([
-                graph6_encode(g),
-                " ".join(str(c) for c in charpoly(g).coeffs),
-                g.bits not in has_mate,
-                is_cp_graph(g).is_cp,
-            ])
+    try:
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["graph6", "charpoly", "is_ds", "is_cp"])
+            for g in enumerate_graphs(report.order, workers=workers):
+                writer.writerow([
+                    graph6_encode(g),
+                    " ".join(str(c) for c in charpoly(g).coeffs),
+                    g.bits not in has_mate,
+                    is_cp_graph(g).is_cp,
+                ])
+    except OSError as exc:
+        raise SpecGraphError(f"cannot write census CSV: {exc}") from exc
 
 
 def _cmd_nu(args) -> int:

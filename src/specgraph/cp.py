@@ -14,15 +14,11 @@ from enum import Enum
 from itertools import combinations
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import OrderCapError, ParameterError
-from .graphs import Graph, complement, connected_components, line_graph
-from .numeric import jacobi_eigenvalues
+from .graphs import Graph, complement, line_graph
 
 LONG_ODD_CYCLE_ORDER_CAP = 12
 LINE_GRAPH_EDGE_CAP = 10
-PSD_TOL = -1e-9
 
 
 class CpReason(str, Enum):
@@ -46,46 +42,46 @@ class CpVerdict:
         }
 
 
+def _colour_components(masks: list[int], active: int) -> list[tuple[int, int, bool]]:
+    """Each component of the graph induced on `active` as (side0, side1, odd).
+
+    Bitmask breadth-first search by layers from the component's lowest
+    vertex, coloured by layer parity.  An edge joins a layer only to itself
+    or a neighbouring layer, so the component has an odd cycle exactly when
+    an edge lies inside one layer.
+    """
+    out = []
+    while active:
+        frontier = active & -active
+        sides = [0, 0]
+        parity = 0
+        odd = False
+        while frontier:
+            sides[parity] |= frontier
+            active &= ~frontier
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= masks[low.bit_length() - 1]
+                frontier ^= low
+            odd = odd or bool(reach & sides[parity])
+            frontier = reach & active
+            parity ^= 1
+        out.append((sides[0], sides[1], odd))
+    return out
+
+
 def is_bipartite(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """A 2-coloring as (side0, side1) if one exists, else None."""
-    masks = g.neighbor_masks()
-    color = [-1] * g.order
-    for s in range(g.order):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in range(g.order):
-                if (masks[v] >> u) & 1:
-                    if color[u] == -1:
-                        color[u] = 1 - color[v]
-                        stack.append(u)
-                    elif color[u] == color[v]:
-                        return None
-    side0 = tuple(v for v in range(g.order) if color[v] == 0)
-    side1 = tuple(v for v in range(g.order) if color[v] == 1)
-    return side0, side1
-
-
-def _component_bipartite(masks: list[int], comp: list[int]) -> bool:
-    color = {}
-    for s in comp:
-        if s in color:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in comp:
-                if (masks[v] >> u) & 1:
-                    if u not in color:
-                        color[u] = 1 - color[v]
-                        stack.append(u)
-                    elif color[u] == color[v]:
-                        return False
-    return True
+    components = _colour_components(g.neighbor_masks(), (1 << g.order) - 1)
+    if any(odd for _, _, odd in components):
+        return None
+    side0 = side1 = 0
+    for s0, s1, _ in components:
+        side0 |= s0
+        side1 |= s1
+    return (tuple(v for v in range(g.order) if side0 >> v & 1),
+            tuple(v for v in range(g.order) if side1 >> v & 1))
 
 
 def _peel_low_degree(masks: list[int], active: int) -> int:
@@ -141,6 +137,17 @@ def _paths_from(masks: list[int], active: int, anchor: int) -> Optional[list[int
     return extend(anchor, 1 << anchor)
 
 
+def _long_odd_cycle(masks: list[int],
+                    components: list[tuple[int, int, bool]]) -> Optional[list[int]]:
+    for side0, side1, odd in components:
+        component = side0 | side1
+        if odd and component.bit_count() >= 5:
+            found = _dfs_long_odd_cycle(masks, component)
+            if found is not None:
+                return found
+    return None
+
+
 def find_long_odd_cycle(g: Graph) -> Optional[list[int]]:
     """A simple odd cycle of length >= 5 given as a vertex list, or None.
 
@@ -151,18 +158,7 @@ def find_long_odd_cycle(g: Graph) -> Optional[list[int]]:
         raise OrderCapError(
             f"long-odd-cycle search capped at order {LONG_ODD_CYCLE_ORDER_CAP}")
     masks = g.neighbor_masks()
-    for comp in connected_components(g):
-        if len(comp) < 5:
-            continue
-        if _component_bipartite(masks, comp):
-            continue
-        mask = 0
-        for v in comp:
-            mask |= 1 << v
-        found = _dfs_long_odd_cycle(masks, mask)
-        if found is not None:
-            return found
-    return None
+    return _long_odd_cycle(masks, _colour_components(masks, (1 << g.order) - 1))
 
 
 def check_long_odd_cycle_witness(g: Graph, cycle: Sequence[int]) -> bool:
@@ -180,24 +176,14 @@ def is_cp_graph(g: Graph) -> CpVerdict:
             f"CP classification capped at order {LONG_ODD_CYCLE_ORDER_CAP}")
     if g.order < 5:
         return CpVerdict(True, CpReason.SMALL_ORDER)
-    if is_bipartite(g) is not None:
+    masks = g.neighbor_masks()
+    components = _colour_components(masks, (1 << g.order) - 1)
+    if not any(odd for _, _, odd in components):
         return CpVerdict(True, CpReason.BIPARTITE)
-    cycle = find_long_odd_cycle(g)
+    cycle = _long_odd_cycle(masks, components)
     if cycle is None:
         return CpVerdict(True, CpReason.NO_LONG_ODD_CYCLE)
     return CpVerdict(False, CpReason.LONG_ODD_CYCLE_FOUND, tuple(cycle))
-
-
-def is_doubly_nonnegative(matrix) -> bool:
-    """Entrywise nonnegative and positive semidefinite (within -1e-9)."""
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ParameterError("matrix must be square")
-    if not np.array_equal(a, a.T):
-        raise ParameterError("matrix must be symmetric")
-    if (a < 0).any():
-        return False
-    return min(jacobi_eigenvalues(a)) >= PSD_TOL
 
 
 def _has_induced_long_odd_cycle(h: Graph) -> bool:

@@ -271,21 +271,6 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     return Graph.from_edges(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
-def graph_of_matrix(rows: Sequence[Sequence]) -> Graph:
-    """The graph of a symmetric matrix: edge (i, j), i != j, iff entry nonzero."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ParameterError("matrix must be square")
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise ParameterError(f"matrix not symmetric at ({i},{j})")
-            if rows[i][j] != 0:
-                edges.append((i, j))
-    return Graph.from_edges(n, edges)
-
-
 # ---------------------------------------------------------------------------
 # structure predicates
 # ---------------------------------------------------------------------------
@@ -313,15 +298,3 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) == 1
-
-
-def is_acyclic(g: Graph) -> bool:
-    """True iff g has no cycle: every component is a tree (|E| = |V| - 1)."""
-    return all(
-        sum(1 for u, v in g.edges() if u in comp and v in comp) == len(comp) - 1
-        for comp in connected_components(g)
-    )
-
-
-def is_tree(g: Graph) -> bool:
-    return is_connected(g) and is_acyclic(g)

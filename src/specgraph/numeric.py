@@ -1,4 +1,7 @@
-"""Floating-point spectra via cyclic Jacobi rotations, plus spectral counting.
+"""Floating-point spectra with exact integer eigenvalues, plus spectral counting.
+
+Eigenvalues come from ``np.linalg.eigvalsh``; the ones that are integers
+are confirmed on the integer characteristic polynomial and printed exactly.
 
 Integer and Fraction thresholds in the eigenvalue-counting operations are
 counted exactly on the integer characteristic polynomial (Descartes' rule of
@@ -9,7 +12,6 @@ depend on numeric error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -21,53 +23,8 @@ from .exact import ClosedFormSpectrum, charpoly
 from .graphs import Graph, induced_subgraph
 from .polynomials import real_rooted_counts
 
-JACOBI_OFFDIAG_TOL = 1e-12
 CLUSTER_TOL = 1e-7
-_MAX_SWEEPS = 100
-
-
-def jacobi_eigenvalues(matrix) -> list[float]:
-    """All eigenvalues of a dense symmetric matrix, ascending.
-
-    Cyclic Jacobi sweeps; converged when every off-diagonal magnitude drops
-    below 1e-12.  Plenty accurate and robust at the orders used here (<= 64).
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ParameterError("matrix must be square")
-    if not np.array_equal(a, a.T):
-        raise ParameterError("matrix must be symmetric")
-    n = a.shape[0]
-    if n == 1:
-        return [float(a[0, 0])]
-    for _ in range(_MAX_SWEEPS):
-        off = np.max(np.abs(a - np.diag(np.diag(a))))
-        if off < JACOBI_OFFDIAG_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < JACOBI_OFFDIAG_TOL:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.hypot(1.0, theta))
-                if theta < 0:
-                    t = -t
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    else:
-        raise ArithmeticError("Jacobi iteration failed to converge")
-    return sorted(float(x) for x in np.diag(a))
+SNAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -102,22 +59,26 @@ class NumericSpectrum:
 
 
 def eigenvalues(g: Graph) -> NumericSpectrum:
-    """Spectrum of the adjacency matrix, descending."""
-    vals = jacobi_eigenvalues(g.adjacency_rows())
-    return NumericSpectrum(tuple(sorted(vals, reverse=True)))
+    """Spectrum of the adjacency matrix, descending, with integer eigenvalues exact.
 
-
-def closed_walk_count(g: Graph, k: int) -> int:
-    """trace(A^k): closed walks of length k, exact integer arithmetic."""
-    if k < 1:
-        raise ParameterError("walk length must be >= 1")
-    n = g.order
-    rows = g.adjacency_rows()
-    power = rows
-    for _ in range(k - 1):
-        power = [[sum(power[i][l] * rows[l][j] for l in range(n)) for j in range(n)]
-                 for i in range(n)]
-    return sum(power[i][i] for i in range(n))
+    ``np.linalg.eigvalsh`` gives the values.  For each integer c within 1e-9
+    of some value, the charpoly's exact multiplicity of c (Descartes' rule of
+    signs) says how many of them are c: that many of the nearest values
+    become ``float(c)``.  LAPACK's backward stability puts every copy of c
+    within about 1e-12, so none is missed, and integer eigenvalues print the
+    same under any labelling.  Order cap: that of ``charpoly``.
+    """
+    poly = charpoly(g)
+    values = np.linalg.eigvalsh(np.array(g.adjacency_rows(), dtype=float)).tolist()
+    near: dict[int, list[int]] = {}
+    for i, v in enumerate(values):
+        if abs(v - round(v)) <= SNAP_TOL:
+            near.setdefault(round(v), []).append(i)
+    for c, idx in near.items():
+        _, at = real_rooted_counts(poly, c)
+        for i in sorted(idx, key=lambda i: abs(values[i] - c))[:at]:
+            values[i] = float(c)
+    return NumericSpectrum(tuple(sorted(values, reverse=True)))
 
 
 Threshold = Union[int, float, Fraction]

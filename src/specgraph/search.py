@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 
 from .canonical import canonical_form, is_min_key
 from .cp import is_cp_graph
-from .errors import OrderCapError, ParameterError
+from .errors import OrderCapError, ParameterError, SpecGraphError
 from .exact import charpoly
 from .graphs import Graph, complete_bipartite_graph, disjoint_union, empty_graph, pair_count
 
@@ -197,15 +197,20 @@ def is_ds(g: Graph, workers: int = 1) -> DsVerdict:
 
     Cospectral graphs share the charpoly, hence its degree (the order) and
     its coefficient -c_{n-2} (the edge count), so that one edge-count layer
-    of the census is the only part that needs searching.
+    of the census is the only part that needs searching.  The layer's size
+    is checked against Polya's count (burnside_layer_counts) before any
+    verdict is given.
     """
     _check_enumeration_order(g.order)
+    n, e = g.order, g.edge_count
+    layer = enumerate_graphs(n, workers=workers, edges=e)
+    expected = burnside_layer_counts(n)[e]
+    if len(layer) != expected:
+        raise SpecGraphError(
+            f"layer (n={n}, e={e}) has {len(layer)} classes, but Polya counts {expected}")
     poly = charpoly(g)
     own_key = canonical_form(g).key
-    mates = tuple(
-        h for h in enumerate_graphs(g.order, workers=workers, edges=g.edge_count)
-        if charpoly(h) == poly and h.bits != own_key
-    )
+    mates = tuple(h for h in layer if charpoly(h) == poly and h.bits != own_key)
     return DsVerdict(is_ds=not mates, mates=mates, searched_order=g.order)
 
 
@@ -329,8 +334,10 @@ def burnside_layer_counts(n: int) -> list[int]:
             for i, a in enumerate(part) for b in part[i + 1:]
             for _ in range(math.gcd(a, b))]
         poly = [1] + [0] * m
+        degree = 0  # the lengths sum to m, so the product's degree never passes it
         for l in lengths:
-            for e in range(m, l - 1, -1):
+            degree += l
+            for e in range(degree, l - 1, -1):
                 poly[e] += poly[e - l]
         perms = _cycle_type_size(n, part)
         for e, c in enumerate(poly):

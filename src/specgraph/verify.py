@@ -24,14 +24,13 @@ from .errors import ParameterError
 from .exact import are_cospectral, charpoly, charpoly_pyramid_factored, edges_and_triangles
 from .graphs import (Graph, book_graph, cycle_graph, disjoint_union, empty_graph,
                      is_connected, pyramid_graph, star_graph)
-from .numeric import count_geq, eigenvalues, jacobi_eigenvalues, verify_interlacing
+from .numeric import count_geq, eigenvalues, verify_interlacing
 from .rational import RationalMatrix, verify_schur_identities
 from .search import (burnside_graph_count, cospectral_classes, enumerate_graphs,
                      is_ds, smallest_non_cp_non_ds_order, star_cospectral_mate)
 
-# Regression fixtures: two 6-vertex adjacency matrices (the octahedron and the
-# octahedron with one edge removed) and a doubly nonnegative realization of
-# the pentagon.
+# Regression fixtures: two 6-vertex adjacency matrices, the octahedron and the
+# octahedron with one edge removed.
 OCTAHEDRON_ROWS = (
     (0, 1, 1, 0, 1, 1),
     (1, 0, 1, 1, 0, 1),
@@ -48,14 +47,6 @@ OCTAHEDRON_LESS_EDGE_ROWS = (
     (1, 0, 1, 1, 0, 1),
     (1, 1, 0, 1, 1, 0),
 )
-PENTAGON_REALIZATION_ROWS = (
-    (1, 1, 0, 0, 1),
-    (1, 2, 1, 0, 0),
-    (0, 1, 2, 1, 0),
-    (0, 0, 1, 2, 1),
-    (1, 0, 0, 1, 3),
-)
-
 EXPECTED_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
 
@@ -241,17 +232,17 @@ def check_pyramid_ds(workers: int = 1) -> CheckResult:
 
 def check_octahedral_regressions(workers: int = 1) -> CheckResult:
     failures = []
-    octa = sorted(jacobi_eigenvalues(OCTAHEDRON_ROWS))
+    octa = sorted(eigenvalues(Graph.from_adjacency(OCTAHEDRON_ROWS)).values)
     expected = [-2.0, -2.0, 0.0, 0.0, 0.0, 4.0]
     if any(abs(e - a) > 1e-8 for e, a in zip(expected, octa)):
         failures.append(f"octahedron spectrum {octa} != {{4, 0^3, (-2)^2}}")
-    less = jacobi_eigenvalues(OCTAHEDRON_LESS_EDGE_ROWS)
+    g = Graph.from_adjacency(OCTAHEDRON_LESS_EDGE_ROWS)
+    less = eigenvalues(g).values
     if abs(sum(less)) > 1e-8:
         failures.append(f"trace-zero violated: sum {sum(less)}")
     strictly_below = sum(1 for v in less if v < -1.0)
     if strictly_below != 2:
         failures.append(f"expected 2 eigenvalues below -1, got {strictly_below}")
-    g = Graph.from_adjacency(OCTAHEDRON_LESS_EDGE_ROWS)
     if g.order - count_geq(g, -1) != 2:
         failures.append("exact count below -1 disagrees")
     if abs(max(less) - 3.714) > 5e-3:

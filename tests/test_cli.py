@@ -62,6 +62,16 @@ def test_spectrum_subcommand(capsys):
     assert payload["closed_form"][0]["kind"] == "quadratic-surd"
 
 
+@pytest.mark.parametrize("family, zeros", [(("--path", "3"), 1), (("--star", "4"), 3)])
+def test_spectrum_prints_zero_eigenvalues_exactly(capsys, family, zeros):
+    code, out = run_cli(capsys, "spectrum", *family)
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["eigenvalues"].count(0.0) == zeros
+    assert [0.0, zeros] in payload["clustered"]
+    assert "-0.0" not in out and "e-" not in out
+
+
 def test_spectrum_of_graph6_input(capsys):
     g6 = graph6_encode(star_graph(4))
     code, out = run_cli(capsys, "spectrum", g6)
@@ -113,6 +123,12 @@ def test_enumerate_subcommand(capsys, tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "graph6,charpoly,is_ds,is_cp"
     assert len(lines) == 35
+
+
+def test_enumerate_csv_into_missing_directory_is_an_error_object(capsys, tmp_path):
+    code, out = run_cli(capsys, "enumerate", "3", "--csv", str(tmp_path / "missing" / "x.csv"))
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "SpecGraphError"
 
 
 @pytest.mark.parametrize("order", [5, 6])

@@ -1,16 +1,18 @@
 """Complete-positivity classification and long-odd-cycle detection."""
 
+from itertools import combinations
+
 import pytest
 
 from conftest import random_graph
-from specgraph import (OrderCapError, ParameterError, complete_bipartite_graph,
+from specgraph import (OrderCapError, ParameterError, charpoly, complete_bipartite_graph,
                        complete_graph, cycle_graph, disjoint_union, empty_graph,
-                       find_long_odd_cycle, graph_of_matrix, is_bipartite, is_cp_graph,
-                       is_doubly_nonnegative, line_graph_perfection_cross_check,
-                       path_graph, pyramid_graph, star_graph)
+                       find_long_odd_cycle, is_bipartite, is_cp_graph,
+                       line_graph_perfection_cross_check, path_graph, pyramid_graph,
+                       star_graph)
 from specgraph.cp import CpReason, check_long_odd_cycle_witness
 from specgraph.search import enumerate_graphs
-from specgraph.verify import PENTAGON_REALIZATION_ROWS, _cycle_with_chord
+from specgraph.verify import _cycle_with_chord
 
 
 def test_bipartite_detection():
@@ -20,6 +22,21 @@ def test_bipartite_detection():
     assert is_bipartite(cycle_graph(6)) is not None
     assert is_bipartite(empty_graph(4)) is not None
     assert is_bipartite(complete_graph(3)) is None
+
+
+def test_bipartite_iff_spectrum_symmetric():
+    # a graph is bipartite iff its spectrum is symmetric about 0, that is iff
+    # the charpoly coefficients of x^(n-1), x^(n-3), ... all vanish
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            poly = charpoly(g)
+            symmetric = all(poly.coefficient(k) == 0 for k in range(n - 1, -1, -2))
+            sides = is_bipartite(g)
+            assert (sides is not None) == symmetric
+            if sides is not None:
+                assert sorted(sides[0] + sides[1]) == list(range(n))
+                assert not any(g.has_edge(u, v)
+                               for side in sides for u, v in combinations(side, 2))
 
 
 def test_find_long_odd_cycle_examples():
@@ -103,16 +120,6 @@ def test_books_are_cp_and_wide_pyramids_are_not():
     # the one boundary case: a 4-vertex pyramid with a 3-clique base is K4
     assert pyramid_graph(4, 3) == complete_graph(4)
     assert is_cp_graph(pyramid_graph(4, 3)).is_cp
-
-
-def test_doubly_nonnegative():
-    assert is_doubly_nonnegative(PENTAGON_REALIZATION_ROWS)
-    assert graph_of_matrix(PENTAGON_REALIZATION_ROWS) == cycle_graph(5)
-    assert is_doubly_nonnegative([[1, 0], [0, 1]])
-    assert not is_doubly_nonnegative([[1, -1], [-1, 1]])   # negative entry
-    assert not is_doubly_nonnegative([[0, 1], [1, 0]])     # indefinite
-    with pytest.raises(ParameterError):
-        is_doubly_nonnegative([[0, 1], [2, 0]])
 
 
 def test_line_graph_perfection_cross_check_examples():

@@ -5,11 +5,9 @@ import pytest
 from conftest import brute_force_isomorphic, random_graph
 from specgraph import (FamilyKind, FamilySpec, Graph, ParameterError, complement,
                        complete_bipartite_graph, complete_graph, cycle_graph,
-                       disjoint_union, empty_graph, graph_of_matrix, induced_subgraph,
-                       is_acyclic, is_connected, is_isomorphic, is_tree, join,
-                       line_graph, make_family, path_graph, pyramid_graph, relabel,
-                       star_graph)
-from specgraph.search import enumerate_graphs
+                       disjoint_union, empty_graph, induced_subgraph, is_connected,
+                       is_isomorphic, join, line_graph, make_family, path_graph,
+                       pyramid_graph, relabel, star_graph)
 
 
 def test_graph_construction_and_edges():
@@ -128,33 +126,6 @@ def test_relabel():
     assert relabel(star_graph(3), [3, 0, 1, 2]).degree(3) == 3
     with pytest.raises(ParameterError):
         relabel(g, [0, 0, 1])
-
-
-def test_graph_of_matrix():
-    pentagon = [
-        [1, 1, 0, 0, 1],
-        [1, 2, 1, 0, 0],
-        [0, 1, 2, 1, 0],
-        [0, 0, 1, 2, 1],
-        [1, 0, 0, 1, 3],
-    ]
-    assert is_isomorphic(graph_of_matrix(pentagon), cycle_graph(5))
-    assert graph_of_matrix([[3, 0], [0, -1]]) == empty_graph(2)
-    g = pyramid_graph(5, 2)
-    assert graph_of_matrix(g.adjacency_rows()) == g
-    with pytest.raises(ParameterError):
-        graph_of_matrix([[0, 1], [2, 0]])
-    with pytest.raises(ParameterError):
-        graph_of_matrix([[0, 1, 0], [1, 0, 0]])
-
-
-def test_tree_characterizations_agree_up_to_order_6():
-    # connected + acyclic / connected with n-1 edges / acyclic with n-1 edges
-    for n in range(1, 7):
-        for g in enumerate_graphs(n):
-            tree = is_tree(g)
-            assert tree == (is_connected(g) and g.edge_count == n - 1)
-            assert tree == (is_acyclic(g) and g.edge_count == n - 1)
 
 
 def test_connectivity():

@@ -1,6 +1,7 @@
-"""Jacobi eigensolver, walk counts, eigenvalue counting, interlacing."""
+"""Numeric eigenvalues with exact integers, eigenvalue counting, interlacing."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,33 +9,42 @@ import pytest
 
 from conftest import random_graph
 from specgraph import (FamilyKind, FamilySpec, Graph, ParameterError, characteristic_matrix,
-                       charpoly, closed_form_spectrum, closed_walk_count, complete_graph,
-                       count_geq, count_leq, cycle_graph, eigenvalues, empty_graph,
-                       jacobi_eigenvalues, match_closed_form, path_graph,
-                       pyramid_graph, star_graph, verify_interlacing)
+                       charpoly, closed_form_spectrum, complete_graph, count_geq, count_leq,
+                       cycle_graph, eigenvalues, empty_graph, match_closed_form, path_graph,
+                       pyramid_graph, relabel, verify_interlacing)
 from specgraph.numeric import NumericSpectrum
+from specgraph.polynomials import real_rooted_counts
 from specgraph.search import enumerate_graphs
 from specgraph.verify import OCTAHEDRON_LESS_EDGE_ROWS, OCTAHEDRON_ROWS
 
 
-def test_jacobi_on_printed_regression_matrix():
-    vals = jacobi_eigenvalues(OCTAHEDRON_ROWS)
-    assert np.allclose(vals, [-2, -2, 0, 0, 0, 4], atol=1e-9)
+def test_octahedron_spectrum_is_exact():
+    vals = eigenvalues(Graph.from_adjacency(OCTAHEDRON_ROWS)).values
+    assert vals == (4.0, 0.0, 0.0, 0.0, -2.0, -2.0)
 
 
-def test_jacobi_matches_numpy_on_random_symmetric(rng):
-    for _ in range(40):
-        n = rng.randint(1, 12)
-        a = np.array([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)], float)
-        a = a + a.T
-        assert np.allclose(jacobi_eigenvalues(a), np.linalg.eigvalsh(a), atol=1e-9)
-
-
-def test_jacobi_validates_input():
-    with pytest.raises(ParameterError):
-        jacobi_eigenvalues([[0, 1], [2, 0]])
-    with pytest.raises(ParameterError):
-        jacobi_eigenvalues([[0, 1, 0], [1, 0, 0]])
+def test_integer_eigenvalues_are_exact_and_labelling_free():
+    # every integer root c of the charpoly appears exactly `at` times, as the
+    # float c itself (never -0.0), and no other value lies within 1e-9 of an
+    # integer; a relabelling leaves the integers identical and moves the rest
+    # by at most 1e-12
+    rng = random.Random(7)
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            values = eigenvalues(g).values
+            poly = charpoly(g)
+            for v in values:
+                if abs(v - round(v)) <= 1e-9:
+                    assert v == round(v) and str(v) != "-0.0"
+            for c in range(-n, n + 1):
+                assert values.count(c) == real_rooted_counts(poly, c)[1]
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for a, b in zip(values, eigenvalues(relabel(g, perm)).values):
+                if a == round(a):
+                    assert b == a
+                else:
+                    assert abs(a - b) <= 1e-12
 
 
 def test_path_spectrum_cosines():
@@ -71,21 +81,14 @@ def test_clustering():
     assert spec.clustered() == ((2.0, 1), (1.0 + 2.5e-9, 2), (0.0, 1))
 
 
-def test_closed_walk_counts():
-    assert closed_walk_count(complete_graph(3), 3) == 6
-    assert closed_walk_count(cycle_graph(4), 2) == 8
-    for g in (complete_graph(4), cycle_graph(5), star_graph(3)):
-        assert closed_walk_count(g, 1) == 0
-    with pytest.raises(ParameterError):
-        closed_walk_count(complete_graph(3), 0)
-
-
 def test_closed_walk_counts_match_spectral_moments(rng):
     for _ in range(200):
         g = random_graph(rng, rng.randint(1, 8))
         vals = eigenvalues(g).values
+        a = np.array(g.adjacency_rows(), dtype=np.int64)
         for k in range(1, 5):
-            assert abs(closed_walk_count(g, k) - sum(v ** k for v in vals)) < 1e-6
+            walks = int(np.trace(np.linalg.matrix_power(a, k)))  # closed k-walks, exact
+            assert abs(walks - sum(v ** k for v in vals)) < 1e-6
 
 
 def test_count_leq_geq_exact_integer_thresholds():

@@ -1,10 +1,12 @@
 """Isomorph-free enumeration, cospectral classes, DS verdicts, star mates."""
 
+import json
+
 import pytest
 
-from specgraph import (DsVerdict, OrderCapError, ParameterError, are_cospectral,
-                       book_graph, burnside_graph_count, canonical_form, charpoly,
-                       cospectral_classes, cycle_graph, disjoint_union, empty_graph,
+from specgraph import (DsVerdict, OrderCapError, ParameterError, SpecGraphError,
+                       are_cospectral, book_graph, burnside_graph_count, canonical_form,
+                       charpoly, cospectral_classes, cycle_graph, disjoint_union, empty_graph,
                        enumerate_graphs, is_connected, is_ds, is_isomorphic,
                        pyramid_graph, search, smallest_non_cp_non_ds_order,
                        star_cospectral_mate, star_graph)
@@ -109,6 +111,18 @@ def test_is_ds_matches_full_census_scan(monkeypatch):
             poly = charpoly(g)
             mates = tuple(h for h in full if charpoly(h) == poly and h.bits != g.bits)
             assert is_ds(g) == DsVerdict(is_ds=not mates, mates=mates, searched_order=n)
+
+
+def test_is_ds_refuses_a_layer_short_of_its_polya_count(monkeypatch, capsys):
+    from specgraph.cli import main
+    _cold_caches(monkeypatch)
+    layer = enumerate_graphs(5, edges=4)
+    monkeypatch.setitem(search._layer_cache, (5, 4), layer[:-1])  # one class lost
+    with pytest.raises(SpecGraphError, match=r"\(n=5, e=4\) has 5 classes, but Polya counts 6"):
+        is_ds(star_graph(4))
+    assert main(["ds", "--star", "4"]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "SpecGraphError" and "(n=5, e=4)" in error["message"]
 
 
 def test_cospectral_classes_small_orders():
