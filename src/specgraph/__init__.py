@@ -16,8 +16,7 @@ from .exact import (ClosedFormSpectrum, QuadraticSurd, are_cospectral, character
                     edges_and_triangles, make_surd, quadratic_roots)
 from .graph6 import graph6_decode, graph6_encode, to_dot
 from .graphs import (FamilyKind, FamilySpec, Graph, book_graph, complement,
-                     complete_bipartite_graph, complete_graph, connected_components,
-                     cycle_graph, disjoint_union, empty_graph, induced_subgraph,
+                     complete_bipartite_graph, complete_graph, cycle_graph, disjoint_union, empty_graph, induced_subgraph,
                      is_connected, join, line_graph, make_family, path_graph,
                      pyramid_graph, relabel, star_graph)
 from .numeric import (NumericSpectrum, count_geq, count_leq, eigenvalues,

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import OrderCapError
-from .graphs import Graph, pair_count
+from .graphs import Graph, column_blocks, pair_count
 
 CANONICAL_ORDER_CAP = 10
 
@@ -112,12 +112,7 @@ def is_min_key(n: int, masks: list[int], key: int) -> bool:
     """True iff key is already the minimal bitstring of the graph it encodes."""
     if n == 1:
         return True
-    m = pair_count(n)
-    tblocks = [0] * n
-    pos = m
-    for j in range(1, n):
-        pos -= j
-        tblocks[j] = (key >> pos) & ((1 << j) - 1)
+    tblocks = column_blocks(n, key)
     twins = _twin_masks(n, masks)
 
     def descend(depth: int, vals: list[tuple[int, int]]) -> bool:

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import OrderCapError, ParameterError
-from .graphs import Graph, complement, line_graph
+from .graphs import Graph, colour_components, complement, line_graph
 
 LONG_ODD_CYCLE_ORDER_CAP = 12
 LINE_GRAPH_EDGE_CAP = 10
@@ -42,38 +42,9 @@ class CpVerdict:
         }
 
 
-def _colour_components(masks: list[int], active: int) -> list[tuple[int, int, bool]]:
-    """Each component of the graph induced on `active` as (side0, side1, odd).
-
-    Bitmask breadth-first search by layers from the component's lowest
-    vertex, coloured by layer parity.  An edge joins a layer only to itself
-    or a neighbouring layer, so the component has an odd cycle exactly when
-    an edge lies inside one layer.
-    """
-    out = []
-    while active:
-        frontier = active & -active
-        sides = [0, 0]
-        parity = 0
-        odd = False
-        while frontier:
-            sides[parity] |= frontier
-            active &= ~frontier
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= masks[low.bit_length() - 1]
-                frontier ^= low
-            odd = odd or bool(reach & sides[parity])
-            frontier = reach & active
-            parity ^= 1
-        out.append((sides[0], sides[1], odd))
-    return out
-
-
 def is_bipartite(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """A 2-coloring as (side0, side1) if one exists, else None."""
-    components = _colour_components(g.neighbor_masks(), (1 << g.order) - 1)
+    components = colour_components(g.neighbor_masks(), (1 << g.order) - 1)
     if any(odd for _, _, odd in components):
         return None
     side0 = side1 = 0
@@ -158,7 +129,7 @@ def find_long_odd_cycle(g: Graph) -> Optional[list[int]]:
         raise OrderCapError(
             f"long-odd-cycle search capped at order {LONG_ODD_CYCLE_ORDER_CAP}")
     masks = g.neighbor_masks()
-    return _long_odd_cycle(masks, _colour_components(masks, (1 << g.order) - 1))
+    return _long_odd_cycle(masks, colour_components(masks, (1 << g.order) - 1))
 
 
 def check_long_odd_cycle_witness(g: Graph, cycle: Sequence[int]) -> bool:
@@ -177,7 +148,7 @@ def is_cp_graph(g: Graph) -> CpVerdict:
     if g.order < 5:
         return CpVerdict(True, CpReason.SMALL_ORDER)
     masks = g.neighbor_masks()
-    components = _colour_components(masks, (1 << g.order) - 1)
+    components = colour_components(masks, (1 << g.order) - 1)
     if not any(odd for _, _, odd in components):
         return CpVerdict(True, CpReason.BIPARTITE)
     cycle = _long_odd_cycle(masks, components)

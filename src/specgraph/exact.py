@@ -29,11 +29,11 @@ def charpoly(g: Graph) -> IntPolynomial:
     if g.order > CHARPOLY_ORDER_CAP:
         raise OrderCapError(f"charpoly capped at order {CHARPOLY_ORDER_CAP}")
     n = g.order
-    nbrs = g.neighbor_lists()
+    masks = g.neighbor_masks()
     vec = [1]
     rows_lt: list[list[int]] = [[] for _ in range(n)]  # adjacency below the current level
     for m in range(n):
-        col = [j for j in nbrs[m] if j < m]
+        col = [j for j in range(m) if (masks[m] >> j) & 1]
         # Toeplitz column: 1, -diag (=0), then -(row . M^k . col) for k = 0..m-1
         t = [1, 0]
         if m:
@@ -177,10 +177,6 @@ def make_surd(a: int, b: int, d: int, c: int) -> AlgebraicValue:
     return QuadraticSurd(a // g, b // g, d, c // g)
 
 
-def _value_float(v: AlgebraicValue) -> float:
-    return float(v)
-
-
 def quadratic_roots(b: int, c: int) -> tuple[AlgebraicValue, AlgebraicValue]:
     """Roots of x^2 + b x + c, ascending; requires a nonnegative discriminant."""
     disc = b * b - 4 * c
@@ -205,7 +201,7 @@ class ClosedFormSpectrum:
                 raise ParameterError("negative multiplicity")
             if mult:
                 merged[value] = merged.get(value, 0) + mult
-        ordered = sorted(merged.items(), key=lambda kv: _value_float(kv[0]))
+        ordered = sorted(merged.items(), key=lambda kv: float(kv[0]))
         return cls(tuple(ordered))
 
     @property
@@ -221,21 +217,11 @@ class ClosedFormSpectrum:
 
     def expand(self) -> IntPolynomial:
         """prod (x - value)^mult, verified to have integer coefficients."""
-        acc: list[Fraction] = [Fraction(1)]
-
-        def mul_monic(factor: list[Fraction], times: int) -> None:
-            nonlocal acc
-            for _ in range(times):
-                out = [Fraction(0)] * (len(acc) + len(factor) - 1)
-                for i, a in enumerate(acc):
-                    for j, f in enumerate(factor):
-                        out[i + j] += a * f
-                acc = out
-
+        acc = IntPolynomial.of(1)
         seen_surds = set()
         for value, mult in self.entries:
             if isinstance(value, Fraction):
-                mul_monic([Fraction(1), -value], mult)
+                coeffs = (1, -value)
             else:
                 if value in seen_surds:
                     continue
@@ -245,10 +231,13 @@ class ClosedFormSpectrum:
                     raise ParameterError(
                         f"surd {value} lacks a conjugate of equal multiplicity")
                 seen_surds.add(conj)
-                mul_monic([Fraction(1), -value.trace, value.norm], mult)
-        if any(c.denominator != 1 for c in acc):
-            raise ParameterError("expansion is not an integer polynomial")
-        return IntPolynomial(tuple(int(c) for c in acc))
+                coeffs = (1, -value.trace, value.norm)
+            # Gauss's lemma: a product of monic rational factors is integral
+            # exactly when every factor is
+            if any(c.denominator != 1 for c in coeffs):
+                raise ParameterError("expansion is not an integer polynomial")
+            acc = acc * IntPolynomial(tuple(int(c) for c in coeffs)) ** mult
+        return acc
 
     def to_json(self) -> list[dict]:
         out = []

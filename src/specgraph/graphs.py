@@ -6,11 +6,16 @@ order graph6 uses -- and the first pair occupies the most significant bit, so
 comparing two ``bits`` integers of equal order compares the bitstrings
 lexicographically.  Everything downstream (canonical forms, enumeration,
 graph6 I/O) shares this single layout.
+
+Column j of the layout is the j-bit block of pairs (0, j) ... (j-1, j).  This
+module alone maps column blocks to per-vertex neighbour masks
+(``column_blocks``, ``add_column``); every other adjacency view of a graph is
+built from those masks, and ``has_edge`` stays on ``pair_index`` as their
+independent reference.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -25,6 +30,31 @@ def pair_count(n: int) -> int:
 def pair_index(i: int, j: int) -> int:
     """Column-major upper-triangle position of pair (i, j) with i < j."""
     return j * (j - 1) // 2 + i
+
+
+def column_blocks(n: int, bits: int) -> list[int]:
+    """Entry j is column j of an order-n bitstring: the j-bit block of pairs
+    (0, j) ... (j-1, j), first pair most significant.  Entry 0 is empty."""
+    blocks = [0] * n
+    pos = pair_count(n)
+    for j in range(1, n):
+        pos -= j
+        blocks[j] = (bits >> pos) & ((1 << j) - 1)
+    return blocks
+
+
+def add_column(masks: list[int], block: int) -> list[int]:
+    """The neighbour masks of vertices 0..j-1 extended by vertex j = len(masks),
+    whose column block is `block`: bit j-1-i of it is the pair (i, j)."""
+    j = len(masks)
+    out = masks + [0]
+    while block:
+        low = block & -block
+        block ^= low
+        i = j - low.bit_length()
+        out[i] |= 1 << j
+        out[j] |= 1 << i
+    return out
 
 
 @dataclass(frozen=True)
@@ -78,40 +108,32 @@ class Graph:
         pos = pair_count(self.order) - 1 - pair_index(i, j)
         return bool((self.bits >> pos) & 1)
 
+    def neighbor_masks(self) -> list[int]:
+        """Per-vertex adjacency as a bitmask over vertex indices."""
+        masks: list[int] = []
+        for block in column_blocks(self.order, self.bits):
+            masks = add_column(masks, block)
+        return masks
+
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (i, j) with i < j, sorted."""
-        for i in range(self.order):
-            for j in range(i + 1, self.order):
-                if self.has_edge(i, j):
-                    yield (i, j)
+        for i, mask in enumerate(self.neighbor_masks()):
+            higher = mask >> (i + 1)
+            while higher:
+                low = higher & -higher
+                higher ^= low
+                yield (i, i + low.bit_length())
 
     @property
     def edge_count(self) -> int:
         return self.bits.bit_count()
 
-    def neighbors(self, v: int) -> list[int]:
-        return [u for u in range(self.order) if self.has_edge(v, u)]
-
-    def neighbor_lists(self) -> list[list[int]]:
-        return [self.neighbors(v) for v in range(self.order)]
-
-    def neighbor_masks(self) -> list[int]:
-        """Per-vertex adjacency as a bitmask over vertex indices."""
-        masks = [0] * self.order
-        for i, j in self.edges():
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-        return masks
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
     def degrees(self) -> list[int]:
         return [m.bit_count() for m in self.neighbor_masks()]
 
     def adjacency_rows(self) -> list[list[int]]:
-        return [[1 if self.has_edge(i, j) else 0 for j in range(self.order)]
-                for i in range(self.order)]
+        return [[(mask >> j) & 1 for j in range(self.order)]
+                for mask in self.neighbor_masks()]
 
 
 # ---------------------------------------------------------------------------
@@ -275,26 +297,34 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
 # structure predicates
 # ---------------------------------------------------------------------------
 
-def connected_components(g: Graph) -> list[list[int]]:
-    masks = g.neighbor_masks()
-    seen = [False] * g.order
-    comps = []
-    for s in range(g.order):
-        if seen[s]:
-            continue
-        comp = []
-        queue = deque([s])
-        seen[s] = True
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for u in range(g.order):
-                if not seen[u] and (masks[v] >> u) & 1:
-                    seen[u] = True
-                    queue.append(u)
-        comps.append(sorted(comp))
-    return comps
+def colour_components(masks: list[int], active: int) -> list[tuple[int, int, bool]]:
+    """Each component of the graph induced on `active` as (side0, side1, odd).
+
+    Bitmask breadth-first search by layers from the component's lowest
+    vertex, coloured by layer parity.  An edge joins a layer only to itself
+    or a neighbouring layer, so the component has an odd cycle exactly when
+    an edge lies inside one layer.
+    """
+    out = []
+    while active:
+        frontier = active & -active
+        sides = [0, 0]
+        parity = 0
+        odd = False
+        while frontier:
+            sides[parity] |= frontier
+            active &= ~frontier
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= masks[low.bit_length() - 1]
+                frontier ^= low
+            odd = odd or bool(reach & sides[parity])
+            frontier = reach & active
+            parity ^= 1
+        out.append((sides[0], sides[1], odd))
+    return out
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
+    return len(colour_components(g.neighbor_masks(), (1 << g.order) - 1)) == 1

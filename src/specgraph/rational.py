@@ -51,12 +51,6 @@ class RationalMatrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._same_shape(other)
-        return RationalMatrix(tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
-
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._same_shape(other)
         return RationalMatrix(tuple(
@@ -70,13 +64,6 @@ class RationalMatrix:
         return RationalMatrix(tuple(
             tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
             for row in self.entries))
-
-    def scaled(self, factor: Entry) -> "RationalMatrix":
-        f = _coerce(factor)
-        return RationalMatrix(tuple(tuple(f * v for v in r) for r in self.entries))
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(zip(*self.entries)))
 
     def _same_shape(self, other: "RationalMatrix") -> None:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):

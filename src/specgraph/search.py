@@ -20,7 +20,8 @@ from .canonical import canonical_form, is_min_key
 from .cp import is_cp_graph
 from .errors import OrderCapError, ParameterError, SpecGraphError
 from .exact import charpoly
-from .graphs import Graph, complete_bipartite_graph, disjoint_union, empty_graph, pair_count
+from .graphs import (Graph, add_column, complete_bipartite_graph, disjoint_union, empty_graph,
+                     pair_count)
 
 ENUMERATION_SOFT_CAP = 7
 ENUMERATION_HARD_CAP = 8
@@ -75,13 +76,7 @@ def _enumerate_shard(args: tuple[int, Optional[int], Optional[int]]) -> list[int
                 overlap, required = constraint
                 if (b >> (j - overlap)) != required:
                     continue
-            new_masks = masks + [0]
-            mj = 0
-            for i in range(j):
-                if (b >> (j - 1 - i)) & 1:
-                    new_masks[i] |= 1 << j
-                    mj |= 1 << i
-            new_masks[j] = mj
+            new_masks = add_column(masks, b)
             new_key = (key << j) | b
             if not is_min_key(j + 1, new_masks, new_key):
                 continue  # no extension of a non-canonical prefix is canonical

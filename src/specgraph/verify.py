@@ -105,7 +105,7 @@ def check_pyramid_charpoly_factorization(workers: int = 1) -> CheckResult:
     if elapsed >= 5.0:
         failures.append(f"runtime {elapsed:.2f}s exceeds 5s budget")
     return _result("pyramid-charpoly-factorization", failures,
-                   f"{count} pyramids, exact match, {elapsed:.2f}s")
+                   f"{count} pyramids, exact match")
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +182,7 @@ def check_order5_census(workers: int = 1) -> CheckResult:
     if elapsed >= 1.0:
         failures.append(f"runtime {elapsed:.2f}s exceeds 1s budget")
     return _result("order-5-census", failures,
-                   f"unique nontrivial pair at order 5, none below, {elapsed:.2f}s")
+                   "unique nontrivial pair at order 5, none below")
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,19 @@ def brute_force_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Isomorphism by trying every vertex bijection; independent of canonical forms."""
     if g1.order != g2.order:
         return False
-    edges1 = set(g1.edges())
+    edges1 = set(edge_list(g1))
+    edges2 = edge_list(g2)
     for perm in permutations(range(g2.order)):
-        mapped = {tuple(sorted((perm[u], perm[v]))) for u, v in g2.edges()}
+        mapped = {tuple(sorted((perm[u], perm[v]))) for u, v in edges2}
         if mapped == edges1:
             return True
     return False
+
+
+def edge_list(g: Graph) -> list[tuple[int, int]]:
+    """Edges (i, j), i < j, sorted, read pair by pair through has_edge only."""
+    return [(i, j) for i in range(g.order) for j in range(i + 1, g.order)
+            if g.has_edge(i, j)]
 
 
 def direct_triangle_count(g: Graph) -> int:

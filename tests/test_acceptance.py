@@ -4,6 +4,8 @@ Each test prints a PASS/FAIL line so the run doubles as a reproduction log.
 The same checks back the ``specgraph verify`` subcommand.
 """
 
+import re
+
 from specgraph import verify
 
 
@@ -12,6 +14,8 @@ def _run(check, name):
     print(f"{'PASS' if result.passed else 'FAIL'} {name}: {result.detail}")
     assert result.passed, result.detail
     assert result.name == name
+    # the table prints the details, so a time in one would make it differ run to run
+    assert not re.search(r"\d+\.\d+s", result.detail), result.detail
 
 
 def test_criterion_01_pyramid_charpoly_factorization():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import brute_force_isomorphic, random_graph
+from conftest import brute_force_isomorphic, edge_list, random_graph
 from specgraph import (Graph, OrderCapError, canonical_form, complement,
                        complete_graph, cycle_graph, disjoint_union, empty_graph,
                        is_isomorphic, path_graph, pyramid_graph, relabel,
@@ -42,7 +42,7 @@ def test_canonical_key_is_minimal_bitstring(rng):
 
 def _brute_force_min_bits(g):
     from itertools import permutations
-    edges = list(g.edges())
+    edges = edge_list(g)
     return min(
         Graph.from_edges(g.order, [(p[u], p[v]) for u, v in edges]).bits
         for p in permutations(range(g.order)))

@@ -276,6 +276,14 @@ def test_expand_requires_conjugate_pairs():
         lone.expand()
 
 
+def test_expand_requires_integer_factors():
+    # (x - 1/2)^2 and the conjugate pair (1 +- sqrt(2))/2, of norm -1/4
+    for pairs in ([(Fraction(1, 2), 2)],
+                  [(QuadraticSurd(1, 1, 2, 2), 1), (QuadraticSurd(1, -1, 2, 2), 1)]):
+        with pytest.raises(ParameterError):
+            ClosedFormSpectrum.build(pairs).expand()
+
+
 def test_closed_form_serialization():
     cf = closed_form_spectrum(spec(FamilyKind.PYRAMID, 6, 3))
     payload = cf.to_json()

@@ -2,12 +2,13 @@
 
 import pytest
 
-from conftest import brute_force_isomorphic, random_graph
+from conftest import brute_force_isomorphic, edge_list, random_graph
 from specgraph import (FamilyKind, FamilySpec, Graph, ParameterError, complement,
                        complete_bipartite_graph, complete_graph, cycle_graph,
                        disjoint_union, empty_graph, induced_subgraph, is_connected,
                        is_isomorphic, join, line_graph, make_family, path_graph,
                        pyramid_graph, relabel, star_graph)
+from specgraph.graphs import pair_count
 
 
 def test_graph_construction_and_edges():
@@ -123,7 +124,7 @@ def test_induced_subgraph():
 def test_relabel():
     g = path_graph(3)
     assert relabel(g, [2, 1, 0]) == g  # reversal of a path
-    assert relabel(star_graph(3), [3, 0, 1, 2]).degree(3) == 3
+    assert relabel(star_graph(3), [3, 0, 1, 2]).degrees()[3] == 3
     with pytest.raises(ParameterError):
         relabel(g, [0, 0, 1])
 
@@ -132,3 +133,24 @@ def test_connectivity():
     assert is_connected(cycle_graph(5))
     assert not is_connected(disjoint_union(complete_graph(2), complete_graph(2)))
     assert is_connected(Graph(1, 0))
+
+
+def _views_from_has_edge(g):
+    """Masks, edges, rows, degrees and connectivity read through has_edge alone."""
+    n = g.order
+    rows = [[1 if g.has_edge(i, j) else 0 for j in range(n)] for i in range(n)]
+    masks = [sum(bit << j for j, bit in enumerate(row)) for row in rows]
+    reached = [0]
+    for v in reached:
+        reached += [u for u in range(n) if rows[v][u] and u not in reached]
+    return masks, edge_list(g), rows, [sum(row) for row in rows], len(reached) == n
+
+
+def test_adjacency_views_match_has_edge(rng):
+    # every graph of order <= 6, then seeded random graphs up to order 30
+    graphs = [Graph(n, bits) for n in range(1, 7) for bits in range(1 << pair_count(n))]
+    graphs += [random_graph(rng, rng.randint(1, 30)) for _ in range(300)]
+    for g in graphs:
+        views = (g.neighbor_masks(), list(g.edges()), g.adjacency_rows(), g.degrees(),
+                 is_connected(g))
+        assert views == _views_from_has_edge(g), g

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from specgraph import (DsVerdict, OrderCapError, ParameterError, SpecGraphError,
-                       are_cospectral, book_graph, burnside_graph_count, canonical_form,
+                       are_cospectral, book_graph, burnside_graph_count, canonical_form, complement,
                        charpoly, cospectral_classes, cycle_graph, disjoint_union, empty_graph,
                        enumerate_graphs, is_connected, is_ds, is_isomorphic,
                        pyramid_graph, search, smallest_non_cp_non_ds_order,
@@ -101,6 +101,20 @@ def test_order8_seven_edge_layer_alone(monkeypatch):
     _cold_caches(monkeypatch)
     assert len(enumerate_graphs(8, edges=7)) == 115
     assert 8 not in search._enum_cache  # the order-8 census was never swept
+
+
+def test_order8_outer_layers_match_polya_and_complements(monkeypatch):
+    # the eight sparsest and the eight densest order-8 layers, each swept alone
+    _cold_caches(monkeypatch)
+    m = pair_count(8)
+    counts = search.burnside_layer_counts(8)
+    layers = {e: enumerate_graphs(8, edges=e) for e in range(m + 1) if e <= 7 or e >= m - 7}
+    assert len(layers) == 16
+    for e, layer in layers.items():
+        assert len(layer) == counts[e], e
+        complements = {canonical_form(complement(g)).key for g in layer}
+        assert complements == {g.bits for g in layers[m - e]}, e
+    assert 8 not in search._enum_cache
 
 
 def test_is_ds_matches_full_census_scan(monkeypatch):
