@@ -4,8 +4,14 @@ Two graphs on the same vertex count are isomorphic iff their minimal
 bitstrings agree.  The search walks orderings vertex by vertex; because the
 pair order is column-major, placing one more vertex fixes the next block of
 bits, so a partial ordering can be compared against (and pruned by) the best
-known string before it is complete.  Vertex degrees only steer the candidate
-order inside the search; the exact prefix bound does the pruning.
+known string before it is complete.
+
+Only the unplaced vertices with the least next block are expanded.  They all
+extend the same prefix, so a vertex with a larger block gives only larger
+strings.  The least set is found with one mask operation per placed vertex:
+scanning the placed vertices in order, keep the candidates that miss the
+vertex's neighbourhood when some do (a 0 bit), and all of them otherwise (a 1
+bit).
 
 Twins are pruned as well.  Vertices u and w are twins when
 N(u) minus w equals N(w) minus u.  Swapping two twins that are both still
@@ -22,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import OrderCapError
-from .graphs import Graph, column_blocks, pair_count
+from .graphs import Graph, pair_count
 
 CANONICAL_ORDER_CAP = 10
 
@@ -43,10 +49,6 @@ class CanonicalForm:
         return Graph(self.order, self.key)
 
 
-def _prefix_of(key: int, total_bits: int, length: int) -> int:
-    return key >> (total_bits - length)
-
-
 def _twin_masks(n: int, masks: list[int]) -> list[int]:
     """Bit w of entry u is set iff u and w are twins: N(u) - {w} == N(w) - {u}."""
     twins = [0] * n
@@ -58,92 +60,68 @@ def _twin_masks(n: int, masks: list[int]) -> list[int]:
     return twins
 
 
-def min_key(n: int, masks: list[int]) -> int:
-    """Minimal bitstring over all vertex orderings of the graph given by masks."""
+def _least_string(n: int, masks: list[int], bound: int, stop_below: bool) -> int:
+    """The least bitstring over all orderings, or bound if none is smaller.
+
+    With stop_below, returns as soon as some prefix falls below bound's, with
+    a value below bound that need not be a bitstring of the graph.
+    """
     m = pair_count(n)
-    degs = [mask.bit_count() for mask in masks]
-    order_hint = sorted(range(n), key=lambda v: degs[v])
+    shift = [m - d * (d + 1) // 2 for d in range(n)]  # bits after depth d's block
+    # Twin masks are built once a least set offers a second vertex; most
+    # canonicity tests in a census sweep end before that.
+    twins: list[int] = []
+    placed: list[int] = []  # neighbour masks of the placed vertices, in order
+    best = bound
 
-    def greedy() -> int:
-        chosen = [order_hint[0]]
-        vals = {u: (masks[u] >> chosen[0]) & 1 for u in range(n) if u != chosen[0]}
-        key = 0
-        for _ in range(1, n):
-            u = min(vals, key=lambda w: (vals[w], degs[w], w))
-            key = (key << len(chosen)) | vals[u]
-            chosen.append(u)
-            vals = {w: (v << 1) | ((masks[w] >> u) & 1)
-                    for w, v in vals.items() if w != u}
-        return key
-
-    best = greedy()
-    twins = _twin_masks(n, masks)
-
-    def descend(depth: int, prefix: int, length: int, vals: list[tuple[int, int]]) -> None:
-        nonlocal best
-        width = depth  # block width at this depth
-        by_block = sorted(vals, key=lambda t: t[1])
+    def descend(depth: int, prefix: int, unplaced: int) -> bool:
+        nonlocal best, twins
+        least, block = unplaced, 0
+        for s in placed:
+            miss = least & ~s
+            if miss:
+                least, block = miss, block << 1
+            else:
+                block = (block << 1) | 1
+        prefix = (prefix << depth) | block
+        limit = best >> shift[depth]
+        if prefix > limit:
+            return False
+        if prefix < limit and stop_below:
+            best = prefix << shift[depth]
+            return True
+        if depth == n - 1:
+            best = prefix  # a whole string, no greater than best
+            return False
         tried = 0
-        for u, b in by_block:
-            cand = (prefix << width) | b
-            if cand > _prefix_of(best, m, length + width):
-                break  # blocks sorted ascending: the rest are no better
-            if depth == n - 1:
-                if cand < best:
-                    best = cand
-                continue
-            if twins[u] & tried:
-                continue  # a twin's subtree already held the same strings
-            tried |= 1 << u
-            nxt = [(w, (v << 1) | ((masks[w] >> u) & 1)) for w, v in vals if w != u]
-            descend(depth + 1, cand, length + width, nxt)
+        while least:
+            low = least & -least
+            least ^= low
+            u = low.bit_length() - 1
+            if tried:
+                twins = twins or _twin_masks(n, masks)
+                if twins[u] & tried:
+                    continue  # a twin's subtree already held the same strings
+            tried |= low
+            placed.append(masks[u])
+            stop = descend(depth + 1, prefix, unplaced ^ low)
+            placed.pop()
+            if stop:
+                return True
+        return False
 
-    tried = 0
-    for v0 in order_hint:
-        if twins[v0] & tried:
-            continue
-        tried |= 1 << v0
-        vals = [(u, (masks[u] >> v0) & 1) for u in range(n) if u != v0]
-        descend(1, 0, 0, vals)
+    descend(0, 0, (1 << n) - 1)
     return best
 
 
+def min_key(n: int, masks: list[int]) -> int:
+    """Minimal bitstring over all vertex orderings of the graph given by masks."""
+    return _least_string(n, masks, 1 << pair_count(n), stop_below=False)  # above every key
+
+
 def is_min_key(n: int, masks: list[int], key: int) -> bool:
-    """True iff key is already the minimal bitstring of the graph it encodes."""
-    if n == 1:
-        return True
-    tblocks = column_blocks(n, key)
-    twins = _twin_masks(n, masks)
-
-    def descend(depth: int, vals: list[tuple[int, int]]) -> bool:
-        tb = tblocks[depth]
-        equal = []
-        for u, v in vals:
-            if v < tb:
-                return False
-            if v == tb:
-                equal.append(u)
-        if depth == n - 1:
-            return True
-        tried = 0
-        for u in equal:
-            if twins[u] & tried:
-                continue
-            tried |= 1 << u
-            nxt = [(w, (v << 1) | ((masks[w] >> u) & 1)) for w, v in vals if w != u]
-            if not descend(depth + 1, nxt):
-                return False
-        return True
-
-    tried = 0
-    for v0 in range(n):
-        if twins[v0] & tried:
-            continue
-        tried |= 1 << v0
-        vals = [(u, (masks[u] >> v0) & 1) for u in range(n) if u != v0]
-        if not descend(1, vals):
-            return False
-    return True
+    """True iff key, the bitstring of the graph given by masks, is its minimal one."""
+    return _least_string(n, masks, key, stop_below=True) == key
 
 
 def canonical_form(g: Graph) -> CanonicalForm:

@@ -32,10 +32,17 @@ _layer_cache: dict[tuple[int, int], tuple[Graph, ...]] = {}
 _class_cache: dict[int, "EnumerationReport"] = {}
 
 
-def _check_enumeration_order(n: int) -> None:
+def check_workers(workers: int) -> None:
+    """Refuse a worker count below 1 rather than running with one worker."""
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
+
+
+def _check_enumeration_args(n: int, workers: int) -> None:
     if not 1 <= n <= ENUMERATION_HARD_CAP:
         raise OrderCapError(
             f"enumeration supports 1 <= n <= {ENUMERATION_HARD_CAP}, got {n}")
+    check_workers(workers)
 
 
 def _shard_slice(shard: Optional[int], length: int, width: int) -> Optional[tuple[int, int]]:
@@ -97,7 +104,7 @@ def enumerate_graphs(n: int, workers: int = 1,
     census, filtered from the full census when that is cached and enumerated
     on its own otherwise.
     """
-    _check_enumeration_order(n)
+    _check_enumeration_args(n, workers)
     if edges is not None:
         if n in _enum_cache:
             return tuple(g for g in _enum_cache[n] if g.edge_count == edges)
@@ -149,7 +156,7 @@ class EnumerationReport:
 
 def cospectral_classes(n: int, workers: int = 1) -> EnumerationReport:
     """Partition the order-n isomorphism classes by exact characteristic polynomial."""
-    _check_enumeration_order(n)
+    _check_enumeration_args(n, workers)
     if n in _class_cache:
         return _class_cache[n]
     graphs = enumerate_graphs(n, workers=workers)
@@ -196,7 +203,7 @@ def is_ds(g: Graph, workers: int = 1) -> DsVerdict:
     is checked against Polya's count (burnside_layer_counts) before any
     verdict is given.
     """
-    _check_enumeration_order(g.order)
+    _check_enumeration_args(g.order, workers)
     n, e = g.order, g.edge_count
     layer = enumerate_graphs(n, workers=workers, edges=e)
     expected = burnside_layer_counts(n)[e]

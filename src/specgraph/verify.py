@@ -26,7 +26,7 @@ from .graphs import (Graph, book_graph, cycle_graph, disjoint_union, empty_graph
                      is_connected, pyramid_graph, star_graph)
 from .numeric import count_geq, eigenvalues, verify_interlacing
 from .rational import RationalMatrix, verify_schur_identities
-from .search import (burnside_graph_count, cospectral_classes, enumerate_graphs,
+from .search import (burnside_graph_count, check_workers, cospectral_classes, enumerate_graphs,
                      is_ds, smallest_non_cp_non_ds_order, star_cospectral_mate)
 
 # Regression fixtures: two 6-vertex adjacency matrices, the octahedron and the
@@ -412,6 +412,7 @@ ALL_CHECKS: tuple[tuple[str, Callable[[int], CheckResult]], ...] = (
 
 def run_all(workers: int = 1) -> list[CheckResult]:
     """Run every check in order, each timed with its elapsed_s."""
+    check_workers(workers)
     results = []
     for name, check in ALL_CHECKS:
         start = time.perf_counter()

@@ -7,7 +7,7 @@ from specgraph import (Graph, OrderCapError, canonical_form, complement,
                        complete_graph, cycle_graph, disjoint_union, empty_graph,
                        is_isomorphic, path_graph, pyramid_graph, relabel,
                        star_graph)
-from specgraph.canonical import is_min_key
+from specgraph.canonical import is_min_key, min_key
 
 
 def test_canonical_form_is_permutation_invariant(rng):
@@ -60,6 +60,23 @@ def test_canonical_key_equals_brute_force_minimum(rng):
     for _ in range(40):
         g = random_graph(rng, rng.randint(5, 7))
         assert canonical_form(g).key == _brute_force_min_bits(g)
+    # is_min_key stops at the first prefix below key's; it must agree with min_key
+    for bits in range(1 << pair_count(6)):
+        masks = Graph(6, bits).neighbor_masks()
+        assert is_min_key(6, masks, bits) == (min_key(6, masks) == bits)
+    samples = []
+    for _ in range(150):
+        n = rng.randint(7, 10)
+        m = pair_count(n)
+        samples.append(random_graph(rng, n))
+        samples.append(Graph(n, rng.getrandbits(m) & rng.getrandbits(m) & rng.getrandbits(m)))
+    for _, _, g in _twin_rich_graphs():
+        samples += [g, relabel(g, rng.sample(range(g.order), g.order))]
+    for g in samples:
+        masks = g.neighbor_masks()
+        key = min_key(g.order, masks)
+        assert is_min_key(g.order, masks, g.bits) == (key == g.bits)
+        assert is_min_key(g.order, Graph(g.order, key).neighbor_masks(), key)
 
 
 def _min_over_clique_placements(n, k):

@@ -213,6 +213,20 @@ def test_error_when_no_graph_given(capsys):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "3", "--workers", "-1"],
+    ["ds", "--star", "4", "--workers", "0"],
+    ["nu", "--cap", "3", "--workers", "0"],
+    ["verify", "--workers", "0"],
+])
+def test_workers_below_one_is_an_error_object(capsys, argv):
+    enumerate_graphs(3)  # a warm cache must not hide the bad count
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParameterError" and "workers must be >= 1" in error["message"]
+
+
 def test_usage_error_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["family", "--pyramid", "six", "3"])

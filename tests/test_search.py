@@ -1,5 +1,6 @@
 """Isomorph-free enumeration, cospectral classes, DS verdicts, star mates."""
 
+import hashlib
 import json
 
 import pytest
@@ -14,6 +15,23 @@ from specgraph.graphs import Graph, pair_count
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
+# sha256 of each order's sorted census bitstrings, in decimal, joined by commas
+CENSUS_SHA256 = {
+    1: "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+    2: "83b97b859aa5f81b2f0f86ba2a675efaf515ad2d5e2b8652cf2de7e1c2267350",
+    3: "e07a92fb5aaa979553ff4952bd4597b190f6f37b327b065caeb0272ef00c4a82",
+    4: "ee8879922ff2981c1ef94a44feef8f72d7beb0c9cad9d539f0d678d3877a7d26",
+    5: "0590bd47e8dd07dcaf48fca66c863cb1cb934329d93ef0563b96122174383eec",
+    6: "2d01f5d8a4feb13139b83e7c225a2c04568935848b620cae2d28194fa2b246e8",
+    7: "409cc39ac8b2a97b4cb375d79e3658bf2f447a0ea1f3fd5bc580ddb505f502ac",
+    8: "c343647ca62cc9e3626209fdb8a4eb5789ec794f31882e64e77498ea4bbb5dca",
+}
+
+
+def _census_digest(graphs):
+    text = ",".join(str(bits) for bits in sorted(g.bits for g in graphs))
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 def _cold_caches(monkeypatch):
     """Empty enumeration caches until the test ends; the warm ones come back after."""
@@ -24,6 +42,23 @@ def _cold_caches(monkeypatch):
 def test_enumeration_counts_small():
     for n in range(1, 7):
         assert len(enumerate_graphs(n)) == KNOWN_COUNTS[n]
+
+
+def test_census_bits_are_pinned():
+    for n in range(1, 8):
+        assert _census_digest(enumerate_graphs(n)) == CENSUS_SHA256[n], n
+
+
+def test_order8_census_matches_polya_layers_and_pinned_bits(monkeypatch):
+    _cold_caches(monkeypatch)
+    with pytest.warns(ResourceWarning):
+        census = enumerate_graphs(8)
+    sizes = [0] * (pair_count(8) + 1)
+    for g in census:
+        sizes[g.edge_count] += 1
+    assert sizes == search.burnside_layer_counts(8)
+    assert len(census) == burnside_graph_count(8) == 12346
+    assert _census_digest(census) == CENSUS_SHA256[8]
 
 
 def test_burnside_oracle_matches_known_counts():
