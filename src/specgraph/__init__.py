@@ -12,7 +12,7 @@ from .cp import (CpReason, CpVerdict, find_long_odd_cycle, is_bipartite, is_cp_g
 from .errors import (Graph6Error, NotGraphPolynomialError, OrderCapError,
                      ParameterError, SingularMatrixError, SpecGraphError)
 from .exact import (ClosedFormSpectrum, QuadraticSurd, are_cospectral, characteristic_matrix,
-                    charpoly, charpoly_pyramid_factored, closed_form_spectrum,
+                    charpoly, charpoly_pyramid_factored, charpolys, closed_form_spectrum,
                     edges_and_triangles, make_surd, quadratic_roots)
 from .graph6 import graph6_decode, graph6_encode, to_dot
 from .graphs import (FamilyKind, FamilySpec, Graph, book_graph, complement,

@@ -17,7 +17,8 @@ from . import verify as verify_mod
 from .canonical import CANONICAL_ORDER_CAP, is_isomorphic
 from .cp import find_long_odd_cycle, is_cp_graph
 from .errors import SpecGraphError
-from .exact import are_cospectral, charpoly, charpoly_pyramid_factored, closed_form_spectrum
+from .exact import (are_cospectral, charpoly, charpoly_pyramid_factored, charpolys,
+                    closed_form_spectrum)
 from .graph6 import graph6_decode, graph6_encode, to_dot
 from .graphs import FamilyKind, FamilySpec, Graph, make_family
 from .numeric import eigenvalues
@@ -184,10 +185,11 @@ def _write_census_csv(path: str, report: EnumerationReport, workers: int) -> Non
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["graph6", "charpoly", "is_ds", "is_cp"])
-            for g in enumerate_graphs(report.order, workers=workers):
+            graphs = enumerate_graphs(report.order, workers=workers)
+            for g, coeffs in zip(graphs, charpolys(graphs)):
                 writer.writerow([
                     graph6_encode(g),
-                    " ".join(str(c) for c in charpoly(g).coeffs),
+                    " ".join(map(str, coeffs)),
                     g.bits not in has_mate,
                     is_cp_graph(g).is_cp,
                 ])

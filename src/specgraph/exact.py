@@ -1,10 +1,19 @@
-"""Exact spectra: division-free characteristic polynomials and closed forms.
+"""Exact spectra: integer characteristic polynomials and closed forms.
 
-The characteristic polynomial is computed over the integers with the
-Samuelson-Berkowitz recurrence, so cospectrality is decided by integer
-equality and never by floating point.  Closed-form spectra hold eigenvalues
-as exact rationals or quadratic surds and can be expanded back into the
-characteristic polynomial for cross-checking.
+Two paths compute the characteristic polynomial over the integers, so
+cospectrality is decided by integer equality and never by floating point:
+
+- ``charpoly(g)``, the single-graph path: the division-free
+  Samuelson-Berkowitz recurrence in Python integers, for any order up to
+  ``CHARPOLY_ORDER_CAP``.  It is also the reference for the other path.
+- ``charpolys(graphs)``, the batched path for a census or one edge layer of
+  it: power traces and Newton's identities in int64 numpy, for a set of
+  graphs of one order up to ``CHARPOLYS_ORDER_CAP``.
+
+A single graph goes to ``charpoly``; a same-order set of graphs of order at
+most 10 goes to ``charpolys``.  Closed-form spectra hold eigenvalues as exact
+rationals or quadratic surds and can be expanded back into the characteristic
+polynomial for cross-checking.
 """
 
 from __future__ import annotations
@@ -13,14 +22,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
-from .errors import NotGraphPolynomialError, OrderCapError, ParameterError
+import numpy as np
+
+from .errors import NotGraphPolynomialError, OrderCapError, ParameterError, SpecGraphError
 from .graphs import FamilyKind, FamilySpec, Graph, make_family
 from .polynomials import FactoredIntPolynomial, IntPolynomial, divmod_by_monic
 from .rational import RationalMatrix
 
 CHARPOLY_ORDER_CAP = 64
+CHARPOLYS_ORDER_CAP = 10
+_CHUNK = 256  # graphs per batched product: bounded memory, no per-graph cache
 
 
 @lru_cache(maxsize=32768)
@@ -41,9 +54,9 @@ def charpoly(g: Graph) -> IntPolynomial:
             for j in col:
                 v[j] = 1
             for k in range(m):
-                t.append(-sum(v[j] for j in col))
+                t.append(-sum(map(v.__getitem__, col)))
                 if k < m - 1:
-                    v = [sum(v[l] for l in row) for row in rows_lt[:m]]
+                    v = [sum(map(v.__getitem__, row)) for row in rows_lt[:m]]
         new = [0] * (m + 2)
         for i, ti in enumerate(t):
             if ti:
@@ -55,6 +68,49 @@ def charpoly(g: Graph) -> IntPolynomial:
             rows_lt[j].append(m)
         rows_lt[m] = col
     return IntPolynomial(tuple(vec))
+
+
+def charpolys(graphs: Sequence[Graph]) -> list[tuple[int, ...]]:
+    """Charpoly coefficients, highest degree first, of graphs of one order n <= 10.
+
+    For each chunk of graphs: the int64 adjacency tensor from the neighbour
+    masks, the power traces p_k = tr(A^k) for k = 2..n, and Newton's
+    identities k c_k = -(p_2 c_{k-2} + ... + p_k c_0), with c_0 = 1 and
+    c_1 = -p_1 = 0.  Every division is checked to be exact.  As A is
+    symmetric, tr(A^k) is the entrywise product sum of A^(k // 2) and
+    A^(k - k // 2), so batched products build the powers only up to A^ceil(n/2).
+
+    int64 holds every value for n <= 10: entries of A^k are at most 9^10,
+    traces at most 10 * 9^10 < 3.5e10, and |c_j| <= C(n, j) j^(j/2) < 2e5 by
+    Hadamard's bound on the principal minors, so each Newton sum stays below
+    9 * 3.5e10 * 2e5 < 2^57, far below 2^63.
+    """
+    if not graphs:
+        return []
+    n = graphs[0].order
+    if any(g.order != n for g in graphs):
+        raise ParameterError("charpolys needs graphs of one order")
+    if n > CHARPOLYS_ORDER_CAP:
+        raise OrderCapError(f"charpolys capped at order {CHARPOLYS_ORDER_CAP}")
+    vertices = np.arange(n)
+    out: list[tuple[int, ...]] = []
+    for start in range(0, len(graphs), _CHUNK):
+        masks = np.array([g.neighbor_masks() for g in graphs[start:start + _CHUNK]],
+                         dtype=np.int64)
+        adj = (masks[:, :, None] >> vertices) & 1
+        powers = [None, adj]
+        traces = [None, None]  # p_0 and p_1 do not enter: c_1 = 0
+        coeffs = [np.ones(len(adj), dtype=np.int64), np.zeros(len(adj), dtype=np.int64)]
+        for k in range(2, n + 1):
+            if len(powers) <= k - k // 2:
+                powers.append(powers[-1] @ adj)
+            traces.append(np.einsum("bij,bij->b", powers[k // 2], powers[k - k // 2]))
+            quot, rem = np.divmod(-sum(traces[i] * coeffs[k - i] for i in range(2, k + 1)), k)
+            if rem.any():
+                raise SpecGraphError(f"Newton's identity not exact at k={k}: int64 overflow")
+            coeffs.append(quot)
+        out.extend(map(tuple, np.stack(coeffs, axis=1).tolist()))
+    return out
 
 
 def characteristic_matrix(g: Graph, x: Union[int, Fraction]) -> RationalMatrix:

@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 from .canonical import canonical_form, is_min_key
 from .cp import is_cp_graph
 from .errors import OrderCapError, ParameterError, SpecGraphError
-from .exact import charpoly
+from .exact import charpoly, charpolys
 from .graphs import (Graph, add_column, complete_bipartite_graph, disjoint_union, empty_graph,
                      pair_count)
 
@@ -161,8 +161,8 @@ def cospectral_classes(n: int, workers: int = 1) -> EnumerationReport:
         return _class_cache[n]
     graphs = enumerate_graphs(n, workers=workers)
     by_poly: dict[tuple[int, ...], list[Graph]] = {}
-    for g in graphs:
-        by_poly.setdefault(charpoly(g).coeffs, []).append(g)
+    for g, coeffs in zip(graphs, charpolys(graphs)):
+        by_poly.setdefault(coeffs, []).append(g)
     nontrivial = tuple(
         tuple(members) for key, members in sorted(by_poly.items())
         if len(members) > 1
@@ -201,7 +201,9 @@ def is_ds(g: Graph, workers: int = 1) -> DsVerdict:
     its coefficient -c_{n-2} (the edge count), so that one edge-count layer
     of the census is the only part that needs searching.  The layer's size
     is checked against Polya's count (burnside_layer_counts) before any
-    verdict is given.
+    verdict is given.  The layer's charpolys come from the batched path, and
+    the layer member that is g's own class must carry g's Berkowitz charpoly:
+    every verdict cross-checks the two paths.
     """
     _check_enumeration_args(g.order, workers)
     n, e = g.order, g.edge_count
@@ -210,9 +212,14 @@ def is_ds(g: Graph, workers: int = 1) -> DsVerdict:
     if len(layer) != expected:
         raise SpecGraphError(
             f"layer (n={n}, e={e}) has {len(layer)} classes, but Polya counts {expected}")
-    poly = charpoly(g)
+    poly = charpoly(g).coeffs
     own_key = canonical_form(g).key
-    mates = tuple(h for h in layer if charpoly(h) == poly and h.bits != own_key)
+    polys = charpolys(layer)
+    if [p for h, p in zip(layer, polys) if h.bits == own_key] != [poly]:
+        raise SpecGraphError(
+            f"layer (n={n}, e={e}): the batched charpoly of the query's own class "
+            "differs from its Berkowitz charpoly")
+    mates = tuple(h for h, p in zip(layer, polys) if p == poly and h.bits != own_key)
     return DsVerdict(is_ds=not mates, mates=mates, searched_order=g.order)
 
 

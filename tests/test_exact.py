@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import direct_triangle_count, random_graph
-from specgraph import (FamilyKind, FamilySpec, IntPolynomial, NotGraphPolynomialError,
+from specgraph import (FamilyKind, FamilySpec, Graph, IntPolynomial, NotGraphPolynomialError,
                        OrderCapError, ParameterError, QuadraticSurd, are_cospectral,
-                       book_graph, charpoly, charpoly_pyramid_factored,
+                       book_graph, charpoly, charpoly_pyramid_factored, charpolys,
                        closed_form_spectrum, complete_graph, cycle_graph,
-                       disjoint_union, empty_graph, edges_and_triangles, make_family,
-                       make_surd, path_graph, pyramid_graph, quadratic_roots,
+                       disjoint_union, empty_graph, edges_and_triangles, enumerate_graphs,
+                       make_family, make_surd, path_graph, pyramid_graph, quadratic_roots,
                        star_graph)
 from specgraph.exact import ClosedFormSpectrum
 
@@ -64,6 +64,32 @@ def test_charpoly_multiplicative_over_disjoint_union(rng):
         g1 = random_graph(rng, rng.randint(1, 6))
         g2 = random_graph(rng, rng.randint(1, 6))
         assert charpoly(disjoint_union(g1, g2)) == charpoly(g1) * charpoly(g2)
+
+
+def test_charpolys_equal_berkowitz(rng):
+    batches = [enumerate_graphs(n) for n in range(1, 8)]  # order 7 spans five chunks
+    for n in (8, 9, 10):
+        graphs = []
+        for _ in range(100):
+            density = rng.random()
+            graphs.append(Graph.from_edges(
+                n, [(i, j) for j in range(n) for i in range(j) if rng.random() < density]))
+        batches.append(graphs)
+    batches.append([complete_graph(10), empty_graph(10)]
+                   + [pyramid_graph(10, k) for k in range(1, 10)])
+    batches.append([empty_graph(1)])
+    for graphs in batches:
+        got = charpolys(graphs)
+        assert got == [charpoly(g).coeffs for g in graphs]
+        assert all(type(c) is int for row in got for c in row)  # no numpy scalars
+    assert charpolys([]) == []
+
+
+def test_charpolys_refuse_order_11_and_mixed_orders():
+    with pytest.raises(OrderCapError):
+        charpolys([empty_graph(11)])
+    with pytest.raises(ParameterError, match="one order"):
+        charpolys([empty_graph(3), empty_graph(4)])
 
 
 # ---------------------------------------------------------------------------

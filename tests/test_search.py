@@ -27,16 +27,33 @@ CENSUS_SHA256 = {
     8: "c343647ca62cc9e3626209fdb8a4eb5789ec794f31882e64e77498ea4bbb5dca",
 }
 
+# sha256 of each order's cospectral report, json.dumps(report.to_json(), sort_keys=True)
+COSPECTRAL_SHA256 = {
+    1: "af2721891b5588a5c1df22ead3af6b44eef954538f9269528ecfb8c793863ded",
+    2: "3dccb7687255832828a937f0b9c0d85ee2f21452fab1960c7374fb7d6f015331",
+    3: "3dc74d29ecb67e342656f1a00d97222dce1cd46fcbbc38f45abab28bfd0593a4",
+    4: "f4ad12e71ea3fdbed602e8f0e29fe5e4da045fe3238460b958e1d0bbd07c72a3",
+    5: "68b896efdfa504a8cad866554ff97f214ae6cf11e524811f98545e7abed240d0",
+    6: "53a3211118455948f6910331789cf23174d6dd437c22f6d927bab2aa93655230",
+    7: "291f15d319f29007d67b2f8d98e8bf7905836f789415c825dc2579246f46eb35",
+    8: "1f90f11ad4cdbe1e6e9163fe7db0adfa11bf2afc248c375f6957bcb6f72aaf90",
+}
+
 
 def _census_digest(graphs):
     text = ",".join(str(bits) for bits in sorted(g.bits for g in graphs))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _cospectral_digest(report):
+    return hashlib.sha256(json.dumps(report.to_json(), sort_keys=True).encode()).hexdigest()
+
+
 def _cold_caches(monkeypatch):
     """Empty enumeration caches until the test ends; the warm ones come back after."""
     monkeypatch.setattr(search, "_enum_cache", {})
     monkeypatch.setattr(search, "_layer_cache", {})
+    monkeypatch.setattr(search, "_class_cache", {})
 
 
 def test_enumeration_counts_small():
@@ -59,6 +76,25 @@ def test_order8_census_matches_polya_layers_and_pinned_bits(monkeypatch):
     assert sizes == search.burnside_layer_counts(8)
     assert len(census) == burnside_graph_count(8) == 12346
     assert _census_digest(census) == CENSUS_SHA256[8]
+    report = cospectral_classes(8)
+    assert report.class_count == 11453
+    assert len(report.nontrivial_classes) == 829
+    assert sum(map(len, report.nontrivial_classes)) == 1722
+    assert _cospectral_digest(report) == COSPECTRAL_SHA256[8]
+
+
+def test_cospectral_reports_are_pinned(monkeypatch):
+    # the class order comes from sorting coefficient tuples
+    _cold_caches(monkeypatch)
+    for n in range(1, 8):
+        assert _cospectral_digest(cospectral_classes(n)) == COSPECTRAL_SHA256[n], n
+
+
+def test_census_charpolys_do_not_call_berkowitz(monkeypatch):
+    _cold_caches(monkeypatch)
+    charpoly.cache_clear()
+    assert cospectral_classes(7).class_count == 988
+    assert charpoly.cache_info().currsize == 0
 
 
 def test_burnside_oracle_matches_known_counts():
@@ -168,6 +204,23 @@ def test_is_ds_refuses_a_layer_short_of_its_polya_count(monkeypatch, capsys):
     layer = enumerate_graphs(5, edges=4)
     monkeypatch.setitem(search._layer_cache, (5, 4), layer[:-1])  # one class lost
     with pytest.raises(SpecGraphError, match=r"\(n=5, e=4\) has 5 classes, but Polya counts 6"):
+        is_ds(star_graph(4))
+    assert main(["ds", "--star", "4"]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "SpecGraphError" and "(n=5, e=4)" in error["message"]
+
+
+def test_is_ds_refuses_a_corrupted_batched_charpoly(monkeypatch, capsys):
+    from specgraph.cli import main
+    batched = search.charpolys
+    own_key = canonical_form(star_graph(4)).key
+
+    def corrupted(graphs):
+        return [p[:-1] + (p[-1] + 1,) if g.bits == own_key else p
+                for g, p in zip(graphs, batched(graphs))]
+
+    monkeypatch.setattr(search, "charpolys", corrupted)
+    with pytest.raises(SpecGraphError, match="differs from its Berkowitz charpoly"):
         is_ds(star_graph(4))
     assert main(["ds", "--star", "4"]) == 1
     error = json.loads(capsys.readouterr().out)["error"]
