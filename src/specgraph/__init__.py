@@ -11,16 +11,15 @@ from .cp import (CpReason, CpVerdict, find_long_odd_cycle, is_bipartite, is_cp_g
                  line_graph_perfection_cross_check)
 from .errors import (Graph6Error, NotGraphPolynomialError, OrderCapError,
                      ParameterError, SingularMatrixError, SpecGraphError)
-from .exact import (ClosedFormSpectrum, QuadraticSurd, are_cospectral, characteristic_matrix,
-                    charpoly, charpoly_pyramid_factored, charpolys, closed_form_spectrum,
+from .exact import (ClosedFormSpectrum, QuadraticSurd, are_cospectral, charpoly,
+                    charpoly_pyramid_factored, charpolys, closed_form_spectrum,
                     edges_and_triangles, make_surd, quadratic_roots)
 from .graph6 import graph6_decode, graph6_encode, to_dot
 from .graphs import (FamilyKind, FamilySpec, Graph, book_graph, complement,
                      complete_bipartite_graph, complete_graph, cycle_graph, disjoint_union, empty_graph, induced_subgraph,
                      is_connected, join, line_graph, make_family, path_graph,
                      pyramid_graph, relabel, star_graph)
-from .numeric import (NumericSpectrum, count_geq, count_leq, eigenvalues,
-                      match_closed_form, verify_interlacing)
+from .numeric import NumericSpectrum, count_geq, count_leq, eigenvalues, verify_interlacing
 from .polynomials import FactoredIntPolynomial, IntPolynomial
 from .rational import RationalMatrix, schur_complement, verify_schur_identities
 from .search import (DsVerdict, EnumerationReport, NuSearchResult, burnside_graph_count,

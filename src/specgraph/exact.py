@@ -29,7 +29,6 @@ import numpy as np
 from .errors import NotGraphPolynomialError, OrderCapError, ParameterError, SpecGraphError
 from .graphs import FamilyKind, FamilySpec, Graph, make_family
 from .polynomials import FactoredIntPolynomial, IntPolynomial, divmod_by_monic
-from .rational import RationalMatrix
 
 CHARPOLY_ORDER_CAP = 64
 CHARPOLYS_ORDER_CAP = 10
@@ -111,14 +110,6 @@ def charpolys(graphs: Sequence[Graph]) -> list[tuple[int, ...]]:
             coeffs.append(quot)
         out.extend(map(tuple, np.stack(coeffs, axis=1).tolist()))
     return out
-
-
-def characteristic_matrix(g: Graph, x: Union[int, Fraction]) -> RationalMatrix:
-    """xI - A(g) as an exact rational matrix."""
-    rows = g.adjacency_rows()
-    return RationalMatrix.from_rows(
-        [[(Fraction(x) if i == j else 0) - rows[i][j] for j in range(g.order)]
-         for i in range(g.order)])
 
 
 def are_cospectral(g1: Graph, g2: Graph) -> bool:

@@ -19,7 +19,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .errors import ParameterError
-from .exact import ClosedFormSpectrum, charpoly
+from .exact import charpoly
 from .graphs import Graph, induced_subgraph
 from .polynomials import real_rooted_counts
 
@@ -119,12 +119,3 @@ def verify_interlacing(g: Graph, subset: Iterable[int], tol: float = 1e-8) -> bo
         for i in range(k)
     )
 
-
-def match_closed_form(g: Graph, cf: ClosedFormSpectrum, tol: float = 1e-8) -> bool:
-    """True iff the closed form's values match the numeric spectrum elementwise."""
-    if cf.order != g.order:
-        raise ParameterError(
-            f"closed form has {cf.order} eigenvalues, graph has order {g.order}")
-    expected = cf.values_float()
-    actual = sorted(eigenvalues(g).values)
-    return all(abs(e - a) <= tol for e, a in zip(expected, actual))

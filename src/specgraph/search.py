@@ -1,11 +1,16 @@
 """Isomorph-free enumeration and determined-by-spectrum verification.
 
 Enumeration keeps a bitstring iff it equals its own canonical form.  The
-sweep is organized as 256 independent work units keyed by the top byte of
-the bitstring; inside a unit the candidate space is walked vertex-block by
-vertex-block, cutting any subtree whose prefix already fails the canonicity
-test (a non-canonical prefix can never extend to a canonical string).  Work
-units are side-effect free and merge by concatenation.
+candidate space is walked vertex-block by vertex-block, cutting any subtree
+whose prefix already fails the canonicity test (a non-canonical prefix can
+never extend to a canonical string).  Two rules skip a block before its test:
+the edge-count window of a layer sweep, and the twin rule (a block that holds
+a twin of the prefix but not its later twin is never canonical).
+
+A sequential sweep is one walk.  With a worker pool the sweep is cut into 256
+independent work units keyed by the top byte of the bitstring; each unit
+re-walks the prefixes above its byte.  Units are side-effect free, and their
+outputs, concatenated in ascending top byte, equal the one walk's.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Iterable, Optional
 
-from .canonical import canonical_form, is_min_key
+from .canonical import _twin_masks, canonical_form, is_min_key
 from .cp import is_cp_graph
 from .errors import OrderCapError, ParameterError, SpecGraphError
 from .exact import charpoly, charpolys
@@ -54,16 +59,36 @@ def _shard_slice(shard: Optional[int], length: int, width: int) -> Optional[tupl
     return overlap, required
 
 
+def _twin_rule(j: int, masks: list[int], blocks: Iterable[int]) -> Iterable[int]:
+    """The blocks that the twin rule keeps for a new vertex after the prefix of
+    order j given by masks: for each twin pair u < w of the prefix, a kept
+    block that holds u also holds w (see _enumerate_shard)."""
+    twins = _twin_masks(j, masks)
+    # (the pair's two bits, u's bit) for each twin pair u < w; bit j-1-i is vertex i
+    rules = [((1 << (j - 1 - u)) | (1 << (j - 1 - w)), 1 << (j - 1 - u))
+             for w in range(j) for u in range(w) if twins[w] >> u & 1]
+    if not rules:
+        return blocks
+    return [b for b in blocks if all(b & pair != u_bit for pair, u_bit in rules)]
+
+
 def _enumerate_shard(args: tuple[int, Optional[int], Optional[int]]) -> list[int]:
-    """All canonical bitstrings of order n whose top byte matches the shard.
+    """All canonical bitstrings of order n, ascending; with a shard set, only
+    those whose top byte matches it.
 
     With an edge count set, only the bitstrings of that weight: a block is
     skipped before its canonicity test when the prefix already has too many
     edges, or too few to reach the count with the pairs still to come.
+
+    The twin rule skips more blocks untested.  Let u < w be twins of the
+    prefix H, and let block b hold u but not w.  Swapping u and w is an
+    automorphism of H, so the swapped ordering gives the same graph with H's
+    key followed by a smaller block (u's bit is the more significant one).
+    Hence b is not canonical, and neither is any extension of it.
     """
     n, shard, edges = args
     if n == 1:
-        return [0] if edges in (None, 0) else []
+        return [0]  # edges, if set, is 0: enumerate_graphs checks its range
     m = pair_count(n)
     out: list[int] = []
 
@@ -78,7 +103,7 @@ def _enumerate_shard(args: tuple[int, Optional[int], Optional[int]]) -> list[int
 
     def extend(j: int, key: int, masks: list[int], length: int) -> None:
         constraint = _shard_slice(shard, length, j)
-        for b in blocks(j, key, length):
+        for b in _twin_rule(j, masks, blocks(j, key, length)):
             if constraint is not None:
                 overlap, required = constraint
                 if (b >> (j - overlap)) != required:
@@ -106,6 +131,9 @@ def enumerate_graphs(n: int, workers: int = 1,
     """
     _check_enumeration_args(n, workers)
     if edges is not None:
+        if not 0 <= edges <= pair_count(n):
+            raise ParameterError(
+                f"an order-{n} graph has 0..{pair_count(n)} edges, got {edges}")
         if n in _enum_cache:
             return tuple(g for g in _enum_cache[n] if g.edge_count == edges)
         if (n, edges) not in _layer_cache:
@@ -121,16 +149,14 @@ def enumerate_graphs(n: int, workers: int = 1,
 
 
 def _enumerate(n: int, workers: int, edges: Optional[int]) -> tuple[Graph, ...]:
-    if pair_count(n) < _SHARD_BITS:
-        units: list[tuple[int, Optional[int], Optional[int]]] = [(n, None, edges)]
+    if workers == 1 or pair_count(n) < _SHARD_BITS:
+        keys = _enumerate_shard((n, None, edges))
     else:
-        units = [(n, s, edges) for s in range(1 << _SHARD_BITS)]
-    if workers > 1 and len(units) > 1:
         with Pool(workers) as pool:
-            per_unit = pool.map(_enumerate_shard, units)
-    else:
-        per_unit = [_enumerate_shard(u) for u in units]
-    return tuple(Graph(n, k) for chunk in per_unit for k in chunk)
+            per_unit = pool.map(_enumerate_shard,
+                                [(n, s, edges) for s in range(1 << _SHARD_BITS)])
+        keys = [k for chunk in per_unit for k in chunk]
+    return tuple(Graph(n, k) for k in keys)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Shared test helpers: independent oracles kept deliberately separate from
 the library code paths they check."""
 
+from fractions import Fraction
 from itertools import permutations
+from typing import Union
 
 import pytest
 
-from specgraph import Graph
+from specgraph import Graph, RationalMatrix
 
 
 def brute_force_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -25,6 +27,15 @@ def edge_list(g: Graph) -> list[tuple[int, int]]:
     """Edges (i, j), i < j, sorted, read pair by pair through has_edge only."""
     return [(i, j) for i in range(g.order) for j in range(i + 1, g.order)
             if g.has_edge(i, j)]
+
+
+def characteristic_matrix(g: Graph, x: Union[int, Fraction]) -> RationalMatrix:
+    """xI - A(g) as an exact rational matrix; its rank gives eigenvalue
+    multiplicities without the charpoly."""
+    rows = g.adjacency_rows()
+    return RationalMatrix.from_rows(
+        [[(Fraction(x) if i == j else 0) - rows[i][j] for j in range(g.order)]
+         for i in range(g.order)])
 
 
 def direct_triangle_count(g: Graph) -> int:

@@ -7,11 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_graph
-from specgraph import (FamilyKind, FamilySpec, Graph, ParameterError, characteristic_matrix,
-                       charpoly, closed_form_spectrum, complete_graph, count_geq, count_leq,
-                       cycle_graph, eigenvalues, empty_graph, match_closed_form, path_graph,
-                       pyramid_graph, relabel, verify_interlacing)
+from conftest import characteristic_matrix, random_graph
+from specgraph import (Graph, ParameterError, charpoly, complete_graph, count_geq, count_leq,
+                       cycle_graph, eigenvalues, empty_graph, path_graph, relabel,
+                       verify_interlacing)
 from specgraph.numeric import NumericSpectrum
 from specgraph.polynomials import real_rooted_counts
 from specgraph.search import enumerate_graphs
@@ -147,14 +146,3 @@ def test_interlacing_random(rng):
         subset = rng.sample(range(n), rng.randint(1, n - 1))
         assert verify_interlacing(g, subset)
 
-
-def test_match_closed_form():
-    g = pyramid_graph(6, 3)
-    cf = closed_form_spectrum(FamilySpec(FamilyKind.PYRAMID, (6, 3)))
-    assert match_closed_form(g, cf)
-    k3 = closed_form_spectrum(FamilySpec(FamilyKind.COMPLETE, (3,)))
-    assert match_closed_form(complete_graph(3), k3)
-    p3 = closed_form_spectrum(FamilySpec(FamilyKind.PATH, (3,)))
-    assert not match_closed_form(complete_graph(3), p3)  # same order, wrong values
-    with pytest.raises(ParameterError):
-        match_closed_form(complete_graph(4), k3)

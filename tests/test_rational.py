@@ -5,9 +5,9 @@ from itertools import permutations
 
 import pytest
 
-from specgraph import (ParameterError, RationalMatrix, SingularMatrixError,
-                       characteristic_matrix, pyramid_graph, schur_complement,
-                       verify_schur_identities)
+from conftest import characteristic_matrix
+from specgraph import (ParameterError, RationalMatrix, SingularMatrixError, pyramid_graph,
+                       schur_complement, verify_schur_identities)
 
 
 def laplace_determinant(m: RationalMatrix) -> Fraction:

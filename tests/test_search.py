@@ -11,7 +11,8 @@ from specgraph import (DsVerdict, OrderCapError, ParameterError, SpecGraphError,
                        enumerate_graphs, is_connected, is_ds, is_isomorphic,
                        pyramid_graph, search, smallest_non_cp_non_ds_order,
                        star_cospectral_mate, star_graph)
-from specgraph.graphs import Graph, pair_count
+from specgraph.canonical import is_min_key
+from specgraph.graphs import Graph, add_column, pair_count
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
@@ -145,6 +146,7 @@ def test_enumeration_caps():
 
 
 def test_workers_shard_merge_equals_single_worker(monkeypatch):
+    # workers=1 is one walk; workers=2 concatenates the 256 top-byte shards
     single = enumerate_graphs(5)
     search._enum_cache.pop(5, None)
     multi = enumerate_graphs(5, workers=2)
@@ -154,6 +156,49 @@ def test_workers_shard_merge_equals_single_worker(monkeypatch):
     single_layer = enumerate_graphs(7, edges=10)
     search._layer_cache.clear()
     assert enumerate_graphs(7, edges=10, workers=2) == single_layer
+
+
+def test_twin_rule_skips_only_non_canonical_blocks():
+    skipped = 0
+    for n in range(1, 7):
+        for h in enumerate_graphs(n):
+            masks = h.neighbor_masks()
+            kept = set(search._twin_rule(n, masks, range(1 << n)))
+            for b in range(1 << n):
+                if b not in kept:
+                    skipped += 1
+                    assert not is_min_key(n + 1, add_column(masks, b), (h.bits << n) | b)
+    assert skipped == 4096
+
+
+def test_canonicity_test_counts_are_pinned(monkeypatch):
+    # a sweep that re-shards or stops skipping blocks changes these counts
+    calls = []
+    counted = search.is_min_key
+
+    def counting(n, masks, key):
+        calls.append(key)
+        return counted(n, masks, key)
+
+    monkeypatch.setattr(search, "is_min_key", counting)
+    _cold_caches(monkeypatch)
+    assert len(enumerate_graphs(7)) == 1044
+    assert len(calls) == 7194
+    calls.clear()
+    assert len(enumerate_graphs(8, edges=7)) == 115
+    assert len(calls) == 1957
+
+
+def test_enumerate_graphs_refuses_an_edge_count_out_of_range(monkeypatch):
+    _cold_caches(monkeypatch)
+    for edges in (-1, 11):
+        with pytest.raises(ParameterError, match="0..10 edges"):
+            enumerate_graphs(5, edges=edges)
+    assert search._layer_cache == {}
+    enumerate_graphs(5)  # a cached census does not turn the bad count into ()
+    with pytest.raises(ParameterError):
+        enumerate_graphs(5, edges=11)
+    assert len(enumerate_graphs(5, edges=10)) == 1
 
 
 def test_edge_layers_partition_the_census(monkeypatch):
