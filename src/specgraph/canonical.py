@@ -68,14 +68,12 @@ def _least_string(n: int, masks: list[int], bound: int, stop_below: bool) -> int
     """
     m = pair_count(n)
     shift = [m - d * (d + 1) // 2 for d in range(n)]  # bits after depth d's block
-    # Twin masks are built once a least set offers a second vertex; most
-    # canonicity tests in a census sweep end before that.
-    twins: list[int] = []
+    twins = _twin_masks(n, masks)
     placed: list[int] = []  # neighbour masks of the placed vertices, in order
     best = bound
 
     def descend(depth: int, prefix: int, unplaced: int) -> bool:
-        nonlocal best, twins
+        nonlocal best
         least, block = unplaced, 0
         for s in placed:
             miss = least & ~s
@@ -98,10 +96,8 @@ def _least_string(n: int, masks: list[int], bound: int, stop_below: bool) -> int
             low = least & -least
             least ^= low
             u = low.bit_length() - 1
-            if tried:
-                twins = twins or _twin_masks(n, masks)
-                if twins[u] & tried:
-                    continue  # a twin's subtree already held the same strings
+            if twins[u] & tried:
+                continue  # a twin's subtree already held the same strings
             tried |= low
             placed.append(masks[u])
             stop = descend(depth + 1, prefix, unplaced ^ low)

@@ -3,9 +3,11 @@
 Enumeration keeps a bitstring iff it equals its own canonical form.  The
 candidate space is walked vertex-block by vertex-block, cutting any subtree
 whose prefix already fails the canonicity test (a non-canonical prefix can
-never extend to a canonical string).  Two rules skip a block before its test:
-the edge-count window of a layer sweep, and the twin rule (a block that holds
-a twin of the prefix but not its later twin is never canonical).
+never extend to a canonical string).  Three rules skip a block before its
+test: the column floor (a block below twice the previous block is never
+canonical), the edge-count window of a layer sweep, and the twin rule (a
+block that holds a twin of the prefix but not its later twin is never
+canonical).
 
 A sequential sweep is one walk.  With a worker pool the sweep is cut into 256
 independent work units keyed by the top byte of the bitstring; each unit
@@ -59,6 +61,13 @@ def _shard_slice(shard: Optional[int], length: int, width: int) -> Optional[tupl
     return overlap, required
 
 
+def _column_floor(j: int, key: int) -> int:
+    """The least block worth testing for a new vertex after the prefix of
+    order j with bitstring key: twice the last vertex's block, which is the
+    key's low j-1 bits (see _enumerate_shard)."""
+    return (key & ((1 << (j - 1)) - 1)) << 1
+
+
 def _twin_rule(j: int, masks: list[int], blocks: Iterable[int]) -> Iterable[int]:
     """The blocks that the twin rule keeps for a new vertex after the prefix of
     order j given by masks: for each twin pair u < w of the prefix, a kept
@@ -75,6 +84,15 @@ def _twin_rule(j: int, masks: list[int], blocks: Iterable[int]) -> Iterable[int]
 def _enumerate_shard(args: tuple[int, Optional[int], Optional[int]]) -> list[int]:
     """All canonical bitstrings of order n, ascending; with a shard set, only
     those whose top byte matches it.
+
+    The column floor bounds each block from below.  Let prev be the block of
+    the prefix's last vertex j-1, and b the block of the new vertex j.
+    Swapping j-1 and j leaves the blocks of vertices 1..j-2 alone and turns
+    block j-1 into b >> 1, vertex j's adjacency to vertices 0..j-2.  If
+    b >> 1 < prev, the swapped string is smaller, so b is not canonical, and
+    neither is any extension of it.  Hence only b >= prev << 1 is tried; when
+    b >> 1 == prev the swap gives the same string, so the floor drops nothing
+    else.
 
     With an edge count set, only the bitstrings of that weight: a block is
     skipped before its canonicity test when the prefix already has too many
@@ -94,12 +112,13 @@ def _enumerate_shard(args: tuple[int, Optional[int], Optional[int]]) -> list[int
 
     if edges is None:
         def blocks(j: int, key: int, length: int) -> Iterable[int]:
-            return range(1 << j)
+            return range(_column_floor(j, key), 1 << j)
     else:
         def blocks(j: int, key: int, length: int) -> Iterable[int]:
             most = edges - key.bit_count()
             least = most - (m - length - j)
-            return [b for b in range(1 << j) if least <= b.bit_count() <= most]
+            return [b for b in range(_column_floor(j, key), 1 << j)
+                    if least <= b.bit_count() <= most]
 
     def extend(j: int, key: int, masks: list[int], length: int) -> None:
         constraint = _shard_slice(shard, length, j)
@@ -153,8 +172,10 @@ def _enumerate(n: int, workers: int, edges: Optional[int]) -> tuple[Graph, ...]:
         keys = _enumerate_shard((n, None, edges))
     else:
         with Pool(workers) as pool:
+            # one shard per task: the low shards hold nearly all the work
             per_unit = pool.map(_enumerate_shard,
-                                [(n, s, edges) for s in range(1 << _SHARD_BITS)])
+                                [(n, s, edges) for s in range(1 << _SHARD_BITS)],
+                                chunksize=1)
         keys = [k for chunk in per_unit for k in chunk]
     return tuple(Graph(n, k) for k in keys)
 

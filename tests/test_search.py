@@ -68,9 +68,11 @@ def test_census_bits_are_pinned():
 
 
 def test_order8_census_matches_polya_layers_and_pinned_bits(monkeypatch):
+    calls = _count_canonicity_tests(monkeypatch)
     _cold_caches(monkeypatch)
     with pytest.warns(ResourceWarning):
         census = enumerate_graphs(8)
+    assert len(calls) == 21973
     sizes = [0] * (pair_count(8) + 1)
     for g in census:
         sizes[g.edge_count] += 1
@@ -159,20 +161,25 @@ def test_workers_shard_merge_equals_single_worker(monkeypatch):
 
 
 def test_twin_rule_skips_only_non_canonical_blocks():
-    skipped = 0
+    # both rules that skip a block before its canonicity test: the column floor
+    # and the twin rule, each on its own and as the sweep chains them
+    below_floor = twin_skipped = skipped = 0
     for n in range(1, 7):
         for h in enumerate_graphs(n):
             masks = h.neighbor_masks()
-            kept = set(search._twin_rule(n, masks, range(1 << n)))
+            floor = search._column_floor(n, h.bits)
+            below_floor += floor
+            twin_skipped += (1 << n) - len(search._twin_rule(n, masks, range(1 << n)))
+            kept = set(search._twin_rule(n, masks, range(floor, 1 << n)))
             for b in range(1 << n):
                 if b not in kept:
                     skipped += 1
                     assert not is_min_key(n + 1, add_column(masks, b), (h.bits << n) | b)
-    assert skipped == 4096
+    assert (below_floor, twin_skipped, skipped) == (8130, 4096, 9298)
 
 
-def test_canonicity_test_counts_are_pinned(monkeypatch):
-    # a sweep that re-shards or stops skipping blocks changes these counts
+def _count_canonicity_tests(monkeypatch) -> list:
+    """The keys of the sweep's canonicity tests, appended as they are made."""
     calls = []
     counted = search.is_min_key
 
@@ -181,12 +188,18 @@ def test_canonicity_test_counts_are_pinned(monkeypatch):
         return counted(n, masks, key)
 
     monkeypatch.setattr(search, "is_min_key", counting)
+    return calls
+
+
+def test_canonicity_test_counts_are_pinned(monkeypatch):
+    # a sweep that re-shards or stops skipping blocks changes these counts
+    calls = _count_canonicity_tests(monkeypatch)
     _cold_caches(monkeypatch)
     assert len(enumerate_graphs(7)) == 1044
-    assert len(calls) == 7194
+    assert len(calls) == 1992
     calls.clear()
     assert len(enumerate_graphs(8, edges=7)) == 115
-    assert len(calls) == 1957
+    assert len(calls) == 712
 
 
 def test_enumerate_graphs_refuses_an_edge_count_out_of_range(monkeypatch):
