@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import NotGraphPolynomialError, OrderCapError, ParameterError, SpecGraphError
-from .graphs import FamilyKind, FamilySpec, Graph, make_family
+from .graphs import FamilyKind, FamilySpec, Graph, adjacency_tensor, make_family
 from .polynomials import FactoredIntPolynomial, IntPolynomial, divmod_by_monic
 
 CHARPOLY_ORDER_CAP = 64
@@ -46,34 +46,60 @@ def charpoly(g: Graph) -> IntPolynomial:
     rows_lt: list[list[int]] = [[] for _ in range(n)]  # adjacency below the current level
     for m in range(n):
         col = [j for j in range(m) if (masks[m] >> j) & 1]
-        # Toeplitz column: 1, -diag (=0), then -(row . M^k . col) for k = 0..m-1
-        t = [1, 0]
-        if m:
-            v = [0] * m
-            for j in col:
-                v[j] = 1
-            for k in range(m):
-                t.append(-sum(map(v.__getitem__, col)))
-                if k < m - 1:
-                    v = [sum(map(v.__getitem__, row)) for row in rows_lt[:m]]
-        new = [0] * (m + 2)
-        for i, ti in enumerate(t):
-            if ti:
-                for j, vj in enumerate(vec):
-                    if i + j < m + 2:
-                        new[i + j] += ti * vj
-        vec = new
+        vec = _berkowitz_level(vec, rows_lt[:m], col)
         for j in col:
             rows_lt[j].append(m)
         rows_lt[m] = col
     return IntPolynomial(tuple(vec))
 
 
+def berkowitz_level(coeffs: Sequence[int], masks: Sequence[int]) -> list[int]:
+    """Charpoly coefficients of the graph given by masks, from coeffs, those of
+    its leading block: the graph on all vertices but the last.  One level of
+    charpoly's recurrence."""
+    m = len(masks) - 1
+    below = (1 << m) - 1
+    rows = [_bit_indices(mask & below) for mask in masks]
+    return _berkowitz_level(coeffs, rows[:m], rows[m])
+
+
+def _bit_indices(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _berkowitz_level(vec: Sequence[int], rows: list[list[int]], col: list[int]) -> list[int]:
+    """The leading (m+1)-block's charpoly from the m-block's, vec.  rows[j] lists
+    the neighbours of vertex j < m below m, and col those of vertex m."""
+    m = len(rows)
+    # Toeplitz column: 1, -diag (=0), then -(row . M^k . col) for k = 0..m-1
+    t = [1, 0]
+    if col:  # else every walk term is 0
+        v = [0] * m
+        for j in col:
+            v[j] = 1
+        for k in range(m):
+            t.append(-sum(map(v.__getitem__, col)))
+            if k < m - 1:
+                v = [sum(map(v.__getitem__, row)) for row in rows]
+    new = [0] * (m + 2)
+    for i, ti in enumerate(t):
+        if ti:
+            for j, vj in enumerate(vec):
+                if i + j < m + 2:
+                    new[i + j] += ti * vj
+    return new
+
+
 def charpolys(graphs: Sequence[Graph]) -> list[tuple[int, ...]]:
     """Charpoly coefficients, highest degree first, of graphs of one order n <= 10.
 
-    For each chunk of graphs: the int64 adjacency tensor from the neighbour
-    masks, the power traces p_k = tr(A^k) for k = 2..n, and Newton's
+    For each chunk of graphs: the int64 adjacency tensor decoded from their
+    bits, the power traces p_k = tr(A^k) for k = 2..n, and Newton's
     identities k c_k = -(p_2 c_{k-2} + ... + p_k c_0), with c_0 = 1 and
     c_1 = -p_1 = 0.  Every division is checked to be exact.  As A is
     symmetric, tr(A^k) is the entrywise product sum of A^(k // 2) and
@@ -91,12 +117,9 @@ def charpolys(graphs: Sequence[Graph]) -> list[tuple[int, ...]]:
         raise ParameterError("charpolys needs graphs of one order")
     if n > CHARPOLYS_ORDER_CAP:
         raise OrderCapError(f"charpolys capped at order {CHARPOLYS_ORDER_CAP}")
-    vertices = np.arange(n)
     out: list[tuple[int, ...]] = []
     for start in range(0, len(graphs), _CHUNK):
-        masks = np.array([g.neighbor_masks() for g in graphs[start:start + _CHUNK]],
-                         dtype=np.int64)
-        adj = (masks[:, :, None] >> vertices) & 1
+        adj = adjacency_tensor(n, [g.bits for g in graphs[start:start + _CHUNK]])
         powers = [None, adj]
         traces = [None, None]  # p_0 and p_1 do not enter: c_1 = 0
         coeffs = [np.ones(len(adj), dtype=np.int64), np.zeros(len(adj), dtype=np.int64)]

@@ -8,9 +8,10 @@ lexicographically.  Everything downstream (canonical forms, enumeration,
 graph6 I/O) shares this single layout.
 
 Column j of the layout is the j-bit block of pairs (0, j) ... (j-1, j).  This
-module alone maps column blocks to per-vertex neighbour masks
-(``column_blocks``, ``add_column``); every other adjacency view of a graph is
-built from those masks, and ``has_edge`` stays on ``pair_index`` as their
+module alone decodes the layout: into per-vertex neighbour masks
+(``column_blocks``, ``add_column``), from which every other adjacency view of
+one graph is built, and into the int64 adjacency tensor of a batch of graphs
+(``adjacency_tensor``).  ``has_edge`` stays on ``pair_index`` as their
 independent reference.
 """
 
@@ -19,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -55,6 +58,22 @@ def add_column(masks: list[int], block: int) -> list[int]:
         out[i] |= 1 << j
         out[j] |= 1 << i
     return out
+
+
+def adjacency_tensor(n: int, bits: Sequence[int]) -> np.ndarray:
+    """The int64 adjacency matrices, shape (len(bits), n, n), of the order-n
+    bitstrings `bits`, decoded together: pair (i, j) is bit
+    pair_count(n) - 1 - pair_index(i, j) of its string."""
+    m = pair_count(n)
+    if m > 62:
+        raise ParameterError(f"an order-{n} bitstring does not fit in int64")
+    later, earlier = np.tril_indices(n, -1)  # every pair (earlier, later), earlier < later
+    shifts = m - 1 - (later * (later - 1) // 2 + earlier)
+    pairs = (np.array(bits, dtype=np.int64).reshape(-1, 1) >> shifts) & 1
+    adj = np.zeros((len(bits), n, n), dtype=np.int64)
+    adj[:, earlier, later] = pairs
+    adj[:, later, earlier] = pairs
+    return adj
 
 
 @dataclass(frozen=True)

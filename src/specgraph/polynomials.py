@@ -174,9 +174,10 @@ def real_rooted_counts(p: IntPolynomial, a: Scalar) -> tuple[int, int]:
     r, s = a.numerator, a.denominator
     n = p.degree
     c = [coef * s ** i for i, coef in enumerate(p.coeffs)]   # s^n p(y/s)
-    for i in range(n):                                        # Taylor shift by r
-        for j in range(1, n + 1 - i):
-            c[j] += r * c[j - 1]
+    if r:
+        for i in range(n):                                    # Taylor shift by r
+            for j in range(1, n + 1 - i):
+                c[j] += r * c[j - 1]
     at = 0
     while at < n and c[n - at] == 0:
         at += 1

@@ -9,6 +9,11 @@ canonical), the edge-count window of a layer sweep, and the twin rule (a
 block that holds a twin of the prefix but not its later twin is never
 canonical).
 
+A DS search is the same walk with a fourth rule, the interlacing cut: a
+prefix whose eigenvalue counts break Cauchy interlacing against the query's
+spectrum has no extension cospectral with the query, so it is dropped before
+its canonicity test (see _InterlacingCut).
+
 A sequential sweep is one walk.  With a worker pool the sweep is cut into 256
 independent work units keyed by the top byte of the bitstring; each unit
 re-walks the prefixes above its byte.  Units are side-effect free, and their
@@ -19,23 +24,24 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Iterable, Optional
 
-from .canonical import _twin_masks, canonical_form, is_min_key
+from .canonical import _twin_masks, is_min_key, min_key
 from .cp import is_cp_graph
 from .errors import OrderCapError, ParameterError, SpecGraphError
-from .exact import charpoly, charpolys
+from .exact import CHARPOLYS_ORDER_CAP, berkowitz_level, charpoly, charpolys
 from .graphs import (Graph, add_column, complete_bipartite_graph, disjoint_union, empty_graph,
                      pair_count)
+from .polynomials import IntPolynomial, real_rooted_counts
 
 ENUMERATION_SOFT_CAP = 7
 ENUMERATION_HARD_CAP = 8
+DS_ORDER_CAP = 12
 _SHARD_BITS = 8
 
 _enum_cache: dict[int, tuple[Graph, ...]] = {}
-_layer_cache: dict[tuple[int, int], tuple[Graph, ...]] = {}
 _class_cache: dict[int, "EnumerationReport"] = {}
 
 
@@ -81,9 +87,90 @@ def _twin_rule(j: int, masks: list[int], blocks: Iterable[int]) -> Iterable[int]
     return [b for b in blocks if all(b & pair != u_bit for pair, u_bit in rules)]
 
 
-def _enumerate_shard(args: tuple[int, Optional[int], Optional[int]]) -> list[int]:
+@dataclass(eq=False, slots=True)
+class _Prefix:
+    """A prefix in a DS walk: its neighbour masks, an upper bound on
+    (N(>a), N(<a)) at each threshold a, its parent, and its charpoly
+    coefficients once computed."""
+
+    masks: list[int]
+    bounds: tuple[tuple[int, int], ...]
+    parent: Optional["_Prefix"]
+    coeffs: Optional[list[int]] = None
+
+
+class _InterlacingCut:
+    """Drops the prefixes of a DS walk that have no extension cospectral with
+    the query G, and counts its work.
+
+    A prefix H on j vertices is an induced subgraph of each of its
+    extensions.  If an extension is cospectral with G, Cauchy interlacing gives
+    lambda_i(G) >= lambda_i(H) >= lambda_{i+n-j}(G) for i = 1..j (eigenvalues
+    descending), so at every real a
+
+        N_H(>a) <= N_G(>a)   and   N_H(<a) <= N_G(<a),
+
+    where N(>a) and N(<a) count the eigenvalues above and below a.  A prefix
+    that breaks either inequality at some a is dropped, and with it every
+    extension, none of which can be cospectral with G.  Orderly generation
+    still reaches every canonical string whose prefixes all pass.
+    `thresholds` holds (a, N_G(>a), N_G(<a)) for each a tested; any finite
+    set of thresholds gives a sound cut.
+
+    Slack rule: adding one vertex raises N(>a) and N(<a) by at most 1 each
+    (interlacing for a principal submatrix of co-order 1).  So each prefix
+    carries upper bounds, its parent's plus one, and is counted exactly only
+    at a threshold where its parent's bound already sits on G's.  The counts
+    come from `real_rooted_counts` on its charpoly, which is one Berkowitz
+    level above its parent's; a charpoly is computed only when a count needs
+    it, and at most once per prefix.
+    """
+
+    def __init__(self, thresholds: tuple[tuple[int, int, int], ...]) -> None:
+        self.thresholds = thresholds
+        self.tests = 0   # prefixes admitted: each goes on to its canonicity test
+        self.cut = 0     # prefixes dropped
+        self.levels = 0  # Berkowitz levels computed
+
+    def root(self) -> _Prefix:
+        """The one-vertex prefix, whose only eigenvalue is 0; every G admits it."""
+        return _Prefix([0], tuple((int(a < 0), int(a > 0)) for a, _, _ in self.thresholds),
+                       None, [1, 0])
+
+    def admit(self, parent: _Prefix, masks: list[int]) -> Optional[_Prefix]:
+        """The prefix given by masks, one vertex above parent, or None if it is cut."""
+        child = _Prefix(masks, (), parent)
+        bounds = []
+        poly = None
+        for (a, above, below), (up, down) in zip(self.thresholds, parent.bounds):
+            if up < above and down < below:
+                bounds.append((up + 1, down + 1))
+                continue
+            if poly is None:
+                poly = IntPolynomial(tuple(self._coeffs(child)))
+            up, at = real_rooted_counts(poly, a)  # exact counts replace the bounds
+            down = len(masks) - up - at
+            if up > above or down > below:
+                self.cut += 1
+                return None
+            bounds.append((up, down))
+        child.bounds = tuple(bounds)
+        self.tests += 1
+        return child
+
+    def _coeffs(self, prefix: _Prefix) -> list[int]:
+        if prefix.coeffs is None:
+            prefix.coeffs = berkowitz_level(self._coeffs(prefix.parent), prefix.masks)
+            self.levels += 1
+        return prefix.coeffs
+
+
+def _enumerate_shard(args: tuple[int, Optional[int], Optional[int], Optional[_InterlacingCut]]
+                     ) -> tuple[list[int], Optional[_InterlacingCut]]:
     """All canonical bitstrings of order n, ascending; with a shard set, only
-    those whose top byte matches it.
+    those whose top byte matches it; with a cut set, only those whose every
+    prefix the cut admits.  Returns the bitstrings and the cut, which carries
+    its counts back from a pool worker.
 
     The column floor bounds each block from below.  Let prev be the block of
     the prefix's last vertex j-1, and b the block of the new vertex j.
@@ -103,10 +190,13 @@ def _enumerate_shard(args: tuple[int, Optional[int], Optional[int]]) -> list[int
     automorphism of H, so the swapped ordering gives the same graph with H's
     key followed by a smaller block (u's bit is the more significant one).
     Hence b is not canonical, and neither is any extension of it.
+
+    The cut, last of the rules, drops a block whose prefix it refutes before
+    that prefix's canonicity test.
     """
-    n, shard, edges = args
+    n, shard, edges, cut = args
     if n == 1:
-        return [0]  # edges, if set, is 0: enumerate_graphs checks its range
+        return [0], cut  # edges, if set, is 0: the callers check its range
     m = pair_count(n)
     out: list[int] = []
 
@@ -120,7 +210,8 @@ def _enumerate_shard(args: tuple[int, Optional[int], Optional[int]]) -> list[int
             return [b for b in range(_column_floor(j, key), 1 << j)
                     if least <= b.bit_count() <= most]
 
-    def extend(j: int, key: int, masks: list[int], length: int) -> None:
+    def extend(j: int, key: int, masks: list[int], length: int,
+               prefix: Optional[_Prefix]) -> None:
         constraint = _shard_slice(shard, length, j)
         for b in _twin_rule(j, masks, blocks(j, key, length)):
             if constraint is not None:
@@ -128,16 +219,36 @@ def _enumerate_shard(args: tuple[int, Optional[int], Optional[int]]) -> list[int
                 if (b >> (j - overlap)) != required:
                     continue
             new_masks = add_column(masks, b)
+            child = None
+            if cut is not None:
+                child = cut.admit(prefix, new_masks)
+                if child is None:
+                    continue  # no extension is cospectral with the query
             new_key = (key << j) | b
             if not is_min_key(j + 1, new_masks, new_key):
                 continue  # no extension of a non-canonical prefix is canonical
             if j + 1 == n:
                 out.append(new_key)
             else:
-                extend(j + 1, new_key, new_masks, length + j)
+                extend(j + 1, new_key, new_masks, length + j, child)
 
-    extend(1, 0, [0], 0)
-    return out
+    extend(1, 0, [0], 0, None if cut is None else cut.root())
+    return out, cut
+
+
+def _walk(n: int, workers: int, edges: Optional[int], cut: Optional[_InterlacingCut]
+          ) -> tuple[list[int], list[_InterlacingCut]]:
+    """The canonical bitstrings of _enumerate_shard, ascending, in one walk or
+    over a pool's shards, and the cut of each unit, with its counts."""
+    if workers == 1 or pair_count(n) < _SHARD_BITS:
+        units = [_enumerate_shard((n, None, edges, cut))]
+    else:
+        with Pool(workers) as pool:
+            # one shard per task: the low shards hold nearly all the work
+            units = pool.map(_enumerate_shard,
+                             [(n, s, edges, cut) for s in range(1 << _SHARD_BITS)],
+                             chunksize=1)
+    return [k for keys, _ in units for k in keys], [c for _, c in units if c is not None]
 
 
 def enumerate_graphs(n: int, workers: int = 1,
@@ -145,19 +256,15 @@ def enumerate_graphs(n: int, workers: int = 1,
     """One representative per isomorphism class of order n, ascending by bitstring.
 
     With `edges` set, only the classes with that many edges: one layer of the
-    census, filtered from the full census when that is cached and enumerated
-    on its own otherwise.
+    census, swept on its own and not cached.  It is the reference that the
+    tests check the DS search against, and its size is Polya's count.
     """
     _check_enumeration_args(n, workers)
     if edges is not None:
         if not 0 <= edges <= pair_count(n):
             raise ParameterError(
                 f"an order-{n} graph has 0..{pair_count(n)} edges, got {edges}")
-        if n in _enum_cache:
-            return tuple(g for g in _enum_cache[n] if g.edge_count == edges)
-        if (n, edges) not in _layer_cache:
-            _layer_cache[n, edges] = _enumerate(n, workers, edges)
-        return _layer_cache[n, edges]
+        return _enumerate(n, workers, edges)
     if n not in _enum_cache:
         if n > ENUMERATION_SOFT_CAP:
             warnings.warn(
@@ -168,16 +275,7 @@ def enumerate_graphs(n: int, workers: int = 1,
 
 
 def _enumerate(n: int, workers: int, edges: Optional[int]) -> tuple[Graph, ...]:
-    if workers == 1 or pair_count(n) < _SHARD_BITS:
-        keys = _enumerate_shard((n, None, edges))
-    else:
-        with Pool(workers) as pool:
-            # one shard per task: the low shards hold nearly all the work
-            per_unit = pool.map(_enumerate_shard,
-                                [(n, s, edges) for s in range(1 << _SHARD_BITS)],
-                                chunksize=1)
-        keys = [k for chunk in per_unit for k in chunk]
-    return tuple(Graph(n, k) for k in keys)
+    return tuple(Graph(n, k) for k in _walk(n, workers, edges, None)[0])
 
 
 @dataclass(frozen=True)
@@ -225,12 +323,26 @@ def cospectral_classes(n: int, workers: int = 1) -> EnumerationReport:
 
 
 @dataclass(frozen=True)
+class DsStats:
+    """The work of one DS search, summed over its units."""
+
+    canonicity_tests: int
+    prefixes_cut: int
+    survivors: int
+    berkowitz_levels: int
+
+
+@dataclass(frozen=True)
 class DsVerdict:
-    """DS answer for one graph, with cospectral non-isomorphic mates as witnesses."""
+    """DS answer for one graph, with cospectral non-isomorphic mates as witnesses.
+
+    `stats` is diagnostic: it takes no part in equality or in to_json.
+    """
 
     is_ds: bool
     mates: tuple[Graph, ...]
     searched_order: int
+    stats: Optional[DsStats] = field(default=None, compare=False)
 
     def to_json(self) -> dict:
         from .graph6 import graph6_encode
@@ -241,33 +353,77 @@ class DsVerdict:
         }
 
 
+def _integer_eigenvalue_bounds(g: Graph, poly: IntPolynomial) -> tuple[tuple[int, int, int], ...]:
+    """(a, N_G(>a), N_G(<a)) for each integer eigenvalue a of g, ascending,
+    where poly is g's charpoly.  Every eigenvalue lies in [-D, D], D the
+    largest degree, so only those integers are tried."""
+    n = g.order
+    out = []
+    degree = max(g.degrees())
+    for a in range(-degree, degree + 1):
+        if poly.evaluate(a) == 0:
+            above, at = real_rooted_counts(poly, a)
+            out.append((a, above, n - above - at))
+    return tuple(out)
+
+
 def is_ds(g: Graph, workers: int = 1) -> DsVerdict:
     """Exhaustively search the graphs of g's order and edge count for cospectral mates.
 
     Cospectral graphs share the charpoly, hence its degree (the order) and
     its coefficient -c_{n-2} (the edge count), so that one edge-count layer
-    of the census is the only part that needs searching.  The layer's size
-    is checked against Polya's count (burnside_layer_counts) before any
-    verdict is given.  The layer's charpolys come from the batched path, and
-    the layer member that is g's own class must carry g's Berkowitz charpoly:
-    every verdict cross-checks the two paths.
+    is the only part that needs searching.  The walk over that layer carries
+    the interlacing cut at g's integer eigenvalues (_InterlacingCut): it
+    drops every prefix whose eigenvalue counts rule out a cospectral
+    extension.  A query with no integer eigenvalue gets an empty cut, and its
+    walk is the plain layer sweep.
+
+    The survivors' charpolys come from the batched path up to order 10 and
+    from Berkowitz above; the mates are the survivors with g's charpoly, in
+    ascending bitstring order.  Two certificates guard every verdict: g's own
+    class must survive and carry g's Berkowitz charpoly, and when the cut
+    dropped nothing the survivors are the whole layer, whose size must equal
+    Polya's count (burnside_layer_counts).
+
+    Orders up to DS_ORDER_CAP are searched.  Past ENUMERATION_HARD_CAP a
+    ResourceWarning names the layer's Polya count, the most classes the walk
+    can reach.
     """
-    _check_enumeration_args(g.order, workers)
     n, e = g.order, g.edge_count
-    layer = enumerate_graphs(n, workers=workers, edges=e)
-    expected = burnside_layer_counts(n)[e]
-    if len(layer) != expected:
+    if not 1 <= n <= DS_ORDER_CAP:
+        raise OrderCapError(f"DS search supports 1 <= n <= {DS_ORDER_CAP}, got {n}")
+    check_workers(workers)
+    if n > ENUMERATION_HARD_CAP:
+        warnings.warn(
+            f"a DS search at order {n} walks layer (n={n}, e={e}), which holds "
+            f"{burnside_layer_counts(n)[e]} classes (Polya) at worst; "
+            "this can take a while", ResourceWarning, stacklevel=2)
+    poly = charpoly(g)
+    keys, cuts = _walk(n, workers, e, _InterlacingCut(_integer_eigenvalue_bounds(g, poly)))
+    stats = DsStats(canonicity_tests=sum(c.tests for c in cuts),
+                    prefixes_cut=sum(c.cut for c in cuts), survivors=len(keys),
+                    berkowitz_levels=sum(c.levels for c in cuts))
+    if not stats.prefixes_cut:
+        expected = burnside_layer_counts(n)[e]
+        if len(keys) != expected:
+            raise SpecGraphError(
+                f"layer (n={n}, e={e}) has {len(keys)} classes, but Polya counts {expected}")
+    survivors = [Graph(n, k) for k in keys]
+    if n <= CHARPOLYS_ORDER_CAP:
+        polys = charpolys(survivors)
+    else:
+        polys = [charpoly(h).coeffs for h in survivors]
+    own_key = min_key(n, g.neighbor_masks())
+    own = [p for h, p in zip(survivors, polys) if h.bits == own_key]
+    if not own:
         raise SpecGraphError(
-            f"layer (n={n}, e={e}) has {len(layer)} classes, but Polya counts {expected}")
-    poly = charpoly(g).coeffs
-    own_key = canonical_form(g).key
-    polys = charpolys(layer)
-    if [p for h, p in zip(layer, polys) if h.bits == own_key] != [poly]:
+            f"layer (n={n}, e={e}): the query's own class did not survive the search")
+    if own != [poly.coeffs]:
         raise SpecGraphError(
-            f"layer (n={n}, e={e}): the batched charpoly of the query's own class "
+            f"layer (n={n}, e={e}): the survivors' charpoly of the query's own class "
             "differs from its Berkowitz charpoly")
-    mates = tuple(h for h, p in zip(layer, polys) if p == poly and h.bits != own_key)
-    return DsVerdict(is_ds=not mates, mates=mates, searched_order=g.order)
+    mates = tuple(h for h, p in zip(survivors, polys) if p == poly.coeffs and h.bits != own_key)
+    return DsVerdict(is_ds=not mates, mates=mates, searched_order=n, stats=stats)
 
 
 def _smallest_prime_factor(n: int) -> int:

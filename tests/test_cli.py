@@ -153,6 +153,25 @@ def test_python_m_prints_what_main_prints(capsys, module):
     assert proc.stdout == expected
 
 
+def test_ds_past_its_order_cap_is_an_error_object(capsys):
+    code, out = run_cli(capsys, "ds", "--star", "12")  # order 13
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "OrderCapError" and "1 <= n <= 12" in error["message"]
+
+
+def test_ds_past_the_census_warns_on_stderr_only():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "default::ResourceWarning", "-m", "specgraph",
+                           "ds", "--star", "8"],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"is_ds": False, "mates": ["H????{]"],
+                                       "searched_order": 9}
+    assert "ResourceWarning" in proc.stderr and "Polya" in proc.stderr
+
+
 def test_nu_subcommand_below_cap(capsys):
     code, out = run_cli(capsys, "nu", "--cap", "5")
     payload = json.loads(out)

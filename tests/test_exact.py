@@ -13,7 +13,7 @@ from specgraph import (FamilyKind, FamilySpec, Graph, IntPolynomial, NotGraphPol
                        disjoint_union, empty_graph, edges_and_triangles, enumerate_graphs,
                        make_family, make_surd, path_graph, pyramid_graph, quadratic_roots,
                        star_graph)
-from specgraph.exact import ClosedFormSpectrum
+from specgraph.exact import ClosedFormSpectrum, berkowitz_level
 
 
 def spec(kind, *params):
@@ -83,6 +83,16 @@ def test_charpolys_equal_berkowitz(rng):
         assert got == [charpoly(g).coeffs for g in graphs]
         assert all(type(c) is int for row in got for c in row)  # no numpy scalars
     assert charpolys([]) == []
+
+
+def test_berkowitz_levels_build_the_charpoly_prefix_by_prefix(rng):
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(1, 14))
+        masks = g.neighbor_masks()
+        coeffs = [1, 0]  # the first vertex alone
+        for j in range(2, g.order + 1):
+            coeffs = berkowitz_level(coeffs, masks[:j])
+        assert tuple(coeffs) == charpoly(g).coeffs
 
 
 def test_charpolys_refuse_order_11_and_mixed_orders():

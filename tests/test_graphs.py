@@ -1,14 +1,16 @@
 """Graph type, named families, and operators."""
 
+import warnings
+
 import pytest
 
 from conftest import brute_force_isomorphic, edge_list, random_graph
 from specgraph import (FamilyKind, FamilySpec, Graph, ParameterError, complement,
                        complete_bipartite_graph, complete_graph, cycle_graph,
-                       disjoint_union, empty_graph, induced_subgraph, is_connected,
-                       is_isomorphic, join, line_graph, make_family, path_graph,
+                       disjoint_union, empty_graph, enumerate_graphs, induced_subgraph,
+                       is_connected, is_isomorphic, join, line_graph, make_family, path_graph,
                        pyramid_graph, relabel, star_graph)
-from specgraph.graphs import pair_count
+from specgraph.graphs import adjacency_tensor, pair_count
 
 
 def test_graph_construction_and_edges():
@@ -154,3 +156,22 @@ def test_adjacency_views_match_has_edge(rng):
         views = (g.neighbor_masks(), list(g.edges()), g.adjacency_rows(), g.degrees(),
                  is_connected(g))
         assert views == _views_from_has_edge(g), g
+
+
+def test_adjacency_tensor_matches_neighbor_masks(rng):
+    # every census rep of order <= 8, then seeded random graphs up to order 10
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResourceWarning)  # unless the census is cached
+        batches = [enumerate_graphs(n) for n in range(1, 9)]
+    randoms = [random_graph(rng, rng.randint(1, 10)) for _ in range(300)]
+    batches += [[g for g in randoms if g.order == n] for n in range(1, 11)]
+    for graphs in batches:
+        n = graphs[0].order
+        tensor = adjacency_tensor(n, [g.bits for g in graphs])
+        assert tensor.shape == (len(graphs), n, n) and str(tensor.dtype) == "int64"
+        masks = [[sum(int(bit) << j for j, bit in enumerate(row)) for row in adj]
+                 for adj in tensor]
+        assert masks == [g.neighbor_masks() for g in graphs], n
+    assert adjacency_tensor(11, [1 << 54]).sum() == 2  # 55 pairs still fit in int64
+    with pytest.raises(ParameterError, match="int64"):
+        adjacency_tensor(12, [0])

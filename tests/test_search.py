@@ -1,5 +1,6 @@
 """Isomorph-free enumeration, cospectral classes, DS verdicts, star mates."""
 
+import contextlib
 import hashlib
 import json
 
@@ -7,11 +8,11 @@ import pytest
 
 from specgraph import (DsVerdict, OrderCapError, ParameterError, SpecGraphError,
                        are_cospectral, book_graph, burnside_graph_count, canonical_form, complement,
-                       charpoly, cospectral_classes, cycle_graph, disjoint_union, empty_graph,
-                       enumerate_graphs, is_connected, is_ds, is_isomorphic,
-                       pyramid_graph, search, smallest_non_cp_non_ds_order,
-                       star_cospectral_mate, star_graph)
-from specgraph.canonical import is_min_key
+                       charpoly, charpolys, cospectral_classes, cycle_graph, disjoint_union,
+                       empty_graph, enumerate_graphs, graph6_encode, is_connected, is_ds,
+                       is_isomorphic, path_graph, pyramid_graph, relabel, search,
+                       smallest_non_cp_non_ds_order, star_cospectral_mate, star_graph)
+from specgraph.canonical import is_min_key, min_key
 from specgraph.graphs import Graph, add_column, pair_count
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -53,7 +54,6 @@ def _cospectral_digest(report):
 def _cold_caches(monkeypatch):
     """Empty enumeration caches until the test ends; the warm ones come back after."""
     monkeypatch.setattr(search, "_enum_cache", {})
-    monkeypatch.setattr(search, "_layer_cache", {})
     monkeypatch.setattr(search, "_class_cache", {})
 
 
@@ -156,7 +156,6 @@ def test_workers_shard_merge_equals_single_worker(monkeypatch):
 
     _cold_caches(monkeypatch)
     single_layer = enumerate_graphs(7, edges=10)
-    search._layer_cache.clear()
     assert enumerate_graphs(7, edges=10, workers=2) == single_layer
 
 
@@ -207,7 +206,6 @@ def test_enumerate_graphs_refuses_an_edge_count_out_of_range(monkeypatch):
     for edges in (-1, 11):
         with pytest.raises(ParameterError, match="0..10 edges"):
             enumerate_graphs(5, edges=edges)
-    assert search._layer_cache == {}
     enumerate_graphs(5)  # a cached census does not turn the bad count into ()
     with pytest.raises(ParameterError):
         enumerate_graphs(5, edges=11)
@@ -223,7 +221,6 @@ def test_edge_layers_partition_the_census(monkeypatch):
         assert len(full) == KNOWN_COUNTS[n]
         for e, layer in enumerate(layers):
             assert layer == tuple(g for g in full if g.edge_count == e)
-            assert enumerate_graphs(n, edges=e) == layer  # now filtered from the census
 
 
 def test_order8_seven_edge_layer_alone(monkeypatch):
@@ -246,26 +243,116 @@ def test_order8_outer_layers_match_polya_and_complements(monkeypatch):
     assert 8 not in search._enum_cache
 
 
-def test_is_ds_matches_full_census_scan(monkeypatch):
+def _expected_verdict(g, classes):
+    """The verdict a census scan gives: g's mates are the other members of its
+    cospectral class, in ascending bitstring order."""
+    own = canonical_form(g).key
+    mates = next((tuple(h for h in cls if h.bits != own)
+                  for cls in classes if any(h.bits == own for h in cls)), ())
+    return DsVerdict(is_ds=not mates, mates=mates, searched_order=g.order)
+
+
+def test_is_ds_matches_full_census_scan(monkeypatch, rng):
     for n in range(1, 7):
         full = enumerate_graphs(n)
-        _cold_caches(monkeypatch)  # is_ds below must enumerate its own layers
+        _cold_caches(monkeypatch)  # is_ds below must not read a cached census
         for g in full:
             poly = charpoly(g)
             mates = tuple(h for h in full if charpoly(h) == poly and h.bits != g.bits)
             assert is_ds(g) == DsVerdict(is_ds=not mates, mates=mates, searched_order=n)
+    full = enumerate_graphs(7)
+    classes = cospectral_classes(7).nontrivial_classes
+    queries = [pyramid_graph(7, k) for k in range(2, 7)]
+    queries += [relabel(g, rng.sample(range(7), 7)) for g in rng.sample(full, 60)]
+    for g in queries:
+        assert is_ds(g) == _expected_verdict(g, classes), graph6_encode(g)
+
+
+def _layer_mates(g):
+    """g's mates from the whole Polya-checked layer sweep of its order and edge
+    count, without the interlacing cut and past the enumeration cap."""
+    n, e = g.order, g.edge_count
+    layer = search._enumerate(n, 1, e)
+    assert len(layer) == search.burnside_layer_counts(n)[e]
+    poly = charpoly(g).coeffs
+    own = min_key(n, g.neighbor_masks())
+    return tuple(h for h, p in zip(layer, charpolys(layer)) if p == poly and h.bits != own)
+
+
+def test_order9_verdicts_match_the_layer_sweeps():
+    # layers (9, 8), (9, 26), (9, 30), (9, 33), (9, 35) and (9, 36)
+    for g in [star_graph(8)] + [pyramid_graph(9, k) for k in range(4, 9)]:
+        with pytest.warns(ResourceWarning, match="Polya"):
+            verdict = is_ds(g)
+        assert verdict.mates == _layer_mates(g), graph6_encode(g)
+        assert verdict.is_ds == (g.edge_count != 8)
+
+
+def test_pyramids_up_to_order_10_are_ds():
+    for n in range(3, 11):
+        for k in range(2, n):
+            with pytest.warns(ResourceWarning) if n > 8 else contextlib.nullcontext():
+                verdict = is_ds(pyramid_graph(n, k))
+            assert verdict.is_ds and verdict.mates == (), (n, k)
+
+
+def test_is_ds_caps_its_order():
+    with pytest.raises(OrderCapError, match="1 <= n <= 12"):
+        is_ds(empty_graph(13))
+
+
+def test_ds_stats_are_pinned_and_kept_out_of_equality_and_json():
+    star = is_ds(star_graph(7))
+    assert star.stats == search.DsStats(canonicity_tests=38, prefixes_cut=148, survivors=1,
+                                        berkowitz_levels=184)
+    book = is_ds(pyramid_graph(7, 2))
+    assert book.stats == search.DsStats(canonicity_tests=33, prefixes_cut=80, survivors=1,
+                                        berkowitz_levels=113)
+    assert star == DsVerdict(is_ds=True, mates=(), searched_order=8)
+    assert set(star.to_json()) == {"is_ds", "mates", "searched_order"}
+    # the stats add up over a pool's 256 shards, each of which re-walks the
+    # prefixes above its top byte
+    pooled = is_ds(star_graph(7), workers=2)
+    assert pooled == star
+    assert pooled.stats == search.DsStats(canonicity_tests=400, prefixes_cut=194, survivors=1,
+                                          berkowitz_levels=458)
+
+
+def test_interlacing_thresholds_are_the_integer_eigenvalues():
+    bounds = search._integer_eigenvalue_bounds
+    star = star_graph(7)
+    assert bounds(star, charpoly(star)) == ((0, 1, 1),)
+    pyramid = pyramid_graph(7, 3)  # eigenvalues 1 +- sqrt(13), -1, -1, 0, 0, 0
+    assert bounds(pyramid, charpoly(pyramid)) == ((-1, 4, 1), (0, 1, 3))
+    square = star_graph(9)  # eigenvalues -3, 0 (8 times), 3
+    assert bounds(square, charpoly(square)) == ((-3, 9, 0), (0, 1, 1), (3, 0, 9))
+    assert bounds(path_graph(4), charpoly(path_graph(4))) == ()
 
 
 def test_is_ds_refuses_a_layer_short_of_its_polya_count(monkeypatch, capsys):
+    # P4 has no integer eigenvalue, so its cut is empty and its walk is the
+    # whole layer (4, 3): P4, the star with 3 leaves and K3 + K1
     from specgraph.cli import main
-    _cold_caches(monkeypatch)
-    layer = enumerate_graphs(5, edges=4)
-    monkeypatch.setitem(search._layer_cache, (5, 4), layer[:-1])  # one class lost
-    with pytest.raises(SpecGraphError, match=r"\(n=5, e=4\) has 5 classes, but Polya counts 6"):
-        is_ds(star_graph(4))
-    assert main(["ds", "--star", "4"]) == 1
+    query = path_graph(4)
+    assert search._integer_eigenvalue_bounds(query, charpoly(query)) == ()
+    lost = canonical_form(disjoint_union(cycle_graph(3), empty_graph(1))).key
+    tested = search.is_min_key
+    monkeypatch.setattr(search, "is_min_key",
+                        lambda n, masks, key: tested(n, masks, key) and key != lost)
+    with pytest.raises(SpecGraphError, match=r"\(n=4, e=3\) has 2 classes, but Polya counts 3"):
+        is_ds(query)
+    assert main(["ds", graph6_encode(query)]) == 1
     error = json.loads(capsys.readouterr().out)["error"]
-    assert error["type"] == "SpecGraphError" and "(n=5, e=4)" in error["message"]
+    assert error["type"] == "SpecGraphError" and "(n=4, e=3)" in error["message"]
+
+
+def test_is_ds_refuses_a_query_whose_own_class_is_cut(monkeypatch):
+    own = canonical_form(star_graph(4)).key
+    tested = search.is_min_key
+    monkeypatch.setattr(search, "is_min_key",
+                        lambda n, masks, key: tested(n, masks, key) and key != own)
+    with pytest.raises(SpecGraphError, match="own class did not survive"):
+        is_ds(star_graph(4))
 
 
 def test_is_ds_refuses_a_corrupted_batched_charpoly(monkeypatch, capsys):
@@ -341,10 +428,12 @@ def test_is_ds_accepts_any_labeling():
 
 
 def test_star_mates_include_constructive_mate():
-    for n in (4, 6):
-        verdict = is_ds(star_graph(n))
+    # the mates are canonical strings; min_key also reaches order 11
+    for n in (4, 6, 8, 9, 10):
+        with pytest.warns(ResourceWarning) if n >= 8 else contextlib.nullcontext():
+            verdict = is_ds(star_graph(n))
         mate = star_cospectral_mate(n)
-        assert any(is_isomorphic(m, mate) for m in verdict.mates)
+        assert min_key(n + 1, mate.neighbor_masks()) in {m.bits for m in verdict.mates}, n
 
 
 def test_star_cospectral_mate_construction():
