@@ -22,8 +22,8 @@ from .graphs import (FamilyKind, FamilySpec, Graph, book_graph, complement,
 from .numeric import NumericSpectrum, count_geq, count_leq, eigenvalues, verify_interlacing
 from .polynomials import FactoredIntPolynomial, IntPolynomial
 from .rational import RationalMatrix, schur_complement, verify_schur_identities
-from .search import (DsStats, DsVerdict, EnumerationReport, NuSearchResult, burnside_graph_count,
-                     cospectral_classes, enumerate_graphs, is_ds,
+from .search import (DsStats, DsVerdict, EnumerationReport, NuSearchResult,
+                     burnside_graph_count, cospectral_classes, enumerate_graphs, is_ds,
                      smallest_non_cp_non_ds_order, star_cospectral_mate)
 
 __version__ = "0.1.0"

@@ -256,8 +256,9 @@ def enumerate_graphs(n: int, workers: int = 1,
     """One representative per isomorphism class of order n, ascending by bitstring.
 
     With `edges` set, only the classes with that many edges: one layer of the
-    census, swept on its own and not cached.  It is the reference that the
-    tests check the DS search against, and its size is Polya's count.
+    census, swept on its own and not cached.  Its size is Polya's count
+    (burnside_layer_counts), which makes it the reference that DS searches
+    are checked against.
     """
     _check_enumeration_args(n, workers)
     if edges is not None:
