@@ -21,14 +21,49 @@ string.  Once one twin has been tried at a depth, the others are skipped
 there.  Twins have equal blocks, so the skip never changes which block is
 smallest, and the result is still the minimum over all orderings.  The pruning
 uses automorphisms only: it removes duplicate subtrees and changes no key.
+
+Orderly generation asks, for a canonical prefix H of order j with minimal
+key K, which blocks b make K' = (K << j) | b the minimal key of H+b, the
+graph H plus a vertex v = j with column block b.  canonical_blocks answers for
+a list of blocks with one walk of H's tied orderings.  Any ordering of H+b
+puts v at some position p.  Its first p vertices form an ordering s of p
+vertices of H, whose string is at least K's first C(p, 2) bits because H is
+canonical.  If it is greater, the ordering's string is greater than K'.  So
+only the tied s matter: the nodes of H's own least-block search bounded by K.
+At a tied s, v's block (its adjacency to the vertices of s, in order) is held
+against K''s block at depth p, which is K's block for p < j and b itself at
+p = j, where s is a whole tied ordering of H:
+
+- below: K' is not minimal, and b is refuted;
+- above: every ordering that places v here is greater;
+- equal: the search goes on from s + v in H+b, bounded by K' (the start
+  argument of _least_string).  At p = j equal means the string is K'.
+
+The walk serves all blocks at once.  Block i is bit i of an int, and entry u
+of `sees` is the set of blocks whose vertex v sees u, so the comparison at a
+node costs O(p) big-int operations for all blocks together, and a refuted
+block drops out of the walk.  A tie's first step is shared too: after s + v,
+the least next block of H+b is H's least next block after s followed by one
+bit, set iff b sees every vertex that gives it, so a tie that this step breaks
+needs no search.  The searches left wait until the walk ends, and the ones
+from the longest starts run first: a block refuted by the walk or by a short
+search is never searched from a short start.
+
+Twins are handled per block.  Twins u and w of H stay twins of H+b iff b
+holds both or neither, and only then does swapping them map the walk's
+subtree at u onto the one at w for b.  So w's subtree is skipped only for the
+blocks that entered u's subtree and see both u and w or neither; skipping it
+for every block would refute too few.  extension_twins builds the twin masks
+of H+b from H's with one comparison per vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .errors import OrderCapError
-from .graphs import Graph, pair_count
+from .graphs import Graph, add_column, pair_count
 
 CANONICAL_ORDER_CAP = 10
 
@@ -60,16 +95,49 @@ def _twin_masks(n: int, masks: list[int]) -> list[int]:
     return twins
 
 
-def _least_string(n: int, masks: list[int], bound: int, stop_below: bool) -> int:
-    """The least bitstring over all orderings, or bound if none is smaller.
+def extension_twins(twins: list[int], masks: list[int]) -> list[int]:
+    """The twin masks of the graph given by masks, on j + 1 vertices, from
+    twins, the twin masks of its first j vertices.
+
+    Twins u, w of the first j vertices stay twins iff the new vertex v sees
+    both or neither, and u is v's twin iff N(u) minus v equals N(v) minus u:
+    one mask comparison per vertex instead of one per pair.
+    """
+    j = len(twins)
+    seen = masks[j]
+    out = []
+    own = 0
+    for u, t in enumerate(twins):
+        bit = 1 << u
+        t &= seen if seen & bit else ~seen
+        if masks[u] & ~(1 << j) == seen & ~bit:
+            t |= 1 << j
+            own |= bit
+        out.append(t)
+    out.append(own)
+    return out
+
+
+def _least_string(n: int, masks: list[int], bound: int, stop_below: bool,
+                  twins: Optional[list[int]] = None, start: Sequence[int] = ()) -> int:
+    """The least bitstring over the orderings that begin with the vertices of
+    start (fewer than n of them), or bound if none is smaller.
 
     With stop_below, returns as soon as some prefix falls below bound's, with
-    a value below bound that need not be a bitstring of the graph.
+    a value below bound that need not be a bitstring of the graph.  twins, if
+    given, are the graph's twin masks.
     """
     m = pair_count(n)
     shift = [m - d * (d + 1) // 2 for d in range(n)]  # bits after depth d's block
-    twins = _twin_masks(n, masks)
-    placed: list[int] = []  # neighbour masks of the placed vertices, in order
+    if twins is None:
+        twins = _twin_masks(n, masks)
+    placed = [masks[u] for u in start]  # neighbour masks of the placed vertices, in order
+    prefix = 0
+    unplaced = (1 << n) - 1
+    for d, u in enumerate(start):
+        for w in start[:d]:
+            prefix = (prefix << 1) | (masks[u] >> w & 1)
+        unplaced ^= 1 << u
     best = bound
 
     def descend(depth: int, prefix: int, unplaced: int) -> bool:
@@ -106,7 +174,7 @@ def _least_string(n: int, masks: list[int], bound: int, stop_below: bool) -> int
                 return True
         return False
 
-    descend(0, 0, (1 << n) - 1)
+    descend(len(start), prefix, unplaced)
     return best
 
 
@@ -115,9 +183,134 @@ def min_key(n: int, masks: list[int]) -> int:
     return _least_string(n, masks, 1 << pair_count(n), stop_below=False)  # above every key
 
 
-def is_min_key(n: int, masks: list[int], key: int) -> bool:
-    """True iff key, the bitstring of the graph given by masks, is its minimal one."""
-    return _least_string(n, masks, key, stop_below=True) == key
+def is_min_key(n: int, masks: list[int], key: int, twins: Optional[list[int]] = None) -> bool:
+    """True iff key, the bitstring of the graph given by masks, is its minimal
+    one; twins, if given, are the graph's twin masks."""
+    return _least_string(n, masks, key, True, twins) == key
+
+
+def canonical_blocks(j: int, masks: list[int], key: int, blocks: Sequence[int],
+                     twins: Optional[list[int]] = None) -> list[int]:
+    """The blocks b of `blocks`, in their order, for which (key << j) | b is
+    the minimal key of H+b, where H is the graph of order j given by masks
+    whose bitstring key is its minimal key, and H+b adds vertex j with
+    column block b; twins, if given, are H's twin masks.
+
+    One walk of H's tied orderings serves every block (module docstring).
+    """
+    if twins is None:
+        twins = _twin_masks(j, masks)
+    n, m, v = j + 1, pair_count(j), j
+    want = [(key >> (m - d * (d + 1) // 2)) & ((1 << d) - 1) for d in range(j)]
+    sees = [0] * j  # bit i of entry u: block i sees u
+    for i, b in enumerate(blocks):
+        while b:
+            low = b & -b
+            b ^= low
+            sees[j - low.bit_length()] |= 1 << i
+    alive = (1 << len(blocks)) - 1  # bit i: block i is not refuted yet
+    order: list[int] = []  # a tied ordering of some of H's vertices
+    placed: list[int] = []  # their neighbour masks
+    ties: list[tuple[list[int], int]] = []  # (a start that ties, the blocks it ties for)
+    extensions: dict[int, tuple[list[int], list[int]]] = {}  # block i: H+b_i's masks, twins
+
+    def refuted(i: int, start: list[int]) -> bool:
+        """True iff H+b_i has a string below its key that begins with start."""
+        b = blocks[i]
+        if i not in extensions:
+            ext = add_column(masks, b)
+            extensions[i] = ext, extension_twins(twins, ext)
+        ext, ext_twins = extensions[i]
+        new_key = (key << j) | b
+        return _least_string(n, ext, new_key, True, ext_twins, start) != new_key
+
+    def visit(depth: int, unplaced: int, active: int) -> None:
+        nonlocal alive
+        eq, below = active, 0  # v placed next: blocks tying with, falling below the key's
+        if depth == j:  # order is a whole tied ordering, and v's block is b itself
+            for k, u in enumerate(order):
+                x, y = sees[u], sees[k]
+                below |= eq & y & ~x
+                eq &= ~(x ^ y)
+                if not eq:
+                    break
+            alive &= ~below
+            return
+        target = want[depth]
+        for k, u in enumerate(order):
+            x = sees[u]
+            if target >> (depth - 1 - k) & 1:
+                below |= eq & ~x
+                eq &= x
+            else:
+                eq &= ~x
+            if not eq:
+                break
+        least, block = unplaced, 0  # H's least next block after order, and who gives it
+        for s in placed:
+            miss = least & ~s
+            if miss:
+                least, block = miss, block << 1
+            else:
+                block = (block << 1) | 1
+        if eq:
+            # after order + v, the least next block of H+b is block then one bit: 1 iff
+            # b sees every vertex in least
+            seen, rest = -1, least
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                seen &= sees[low.bit_length() - 1]
+            if depth + 1 == j:  # that block is the last, held against b itself
+                while eq:
+                    low = eq & -eq
+                    eq ^= low
+                    if (block << 1) | bool(seen & low) < blocks[low.bit_length() - 1]:
+                        below |= low
+            else:
+                after = want[depth + 1]
+                if block != after >> 1:
+                    if block < after >> 1:
+                        below |= eq
+                    eq = 0
+                elif after & 1:
+                    below |= eq & ~seen
+                    eq &= seen
+                else:
+                    eq &= ~seen
+        alive &= ~below
+        if eq:  # still a tie: search on from order + v in H+b, after the walk
+            ties.append((order + [v], eq))
+        if block != target:
+            return  # no vertex of H extends order to a tied ordering
+        entered: list[tuple[int, int]] = []  # (vertex, the blocks that entered its subtree)
+        while least:
+            low = least & -least
+            least ^= low
+            u = low.bit_length() - 1
+            sub = active & alive
+            t, x = twins[u], sees[u]
+            for w, through in entered:
+                if t >> w & 1:  # w's subtree held the same strings for the blocks
+                    sub &= ~through | (x ^ sees[w])  # that see both or neither
+            if not sub:
+                continue
+            entered.append((u, sub))
+            order.append(u)
+            placed.append(masks[u])
+            visit(depth + 1, unplaced ^ low, sub)
+            order.pop()
+            placed.pop()
+
+    visit(0, (1 << j) - 1, alive)
+    for start, tied in sorted(ties, key=lambda tie: -len(tie[0])):  # the short searches first
+        tied &= alive
+        while tied:
+            low = tied & -tied
+            tied ^= low
+            if refuted(low.bit_length() - 1, start):
+                alive ^= low
+    return [b for i, b in enumerate(blocks) if alive >> i & 1]
 
 
 def canonical_form(g: Graph) -> CanonicalForm:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from typing import Optional, Sequence
 
 from . import verify as verify_mod
@@ -310,6 +311,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entrypoint() -> None:
+    """The ``specgraph`` script: main() with ResourceWarnings shown on stderr.
+
+    Python ignores ResourceWarning by default, which would hide the warnings
+    of the long sweeps (order-8 census, DS search past order 8).  They are
+    shown once per place, unless the user set warning filters (-W or
+    PYTHONWARNINGS).  main() itself leaves the filters alone.
+    """
+    if not sys.warnoptions:
+        warnings.simplefilter("default", ResourceWarning)
     sys.exit(main())
 
 

@@ -7,7 +7,10 @@ from specgraph import (Graph, OrderCapError, canonical_form, complement,
                        complete_graph, cycle_graph, disjoint_union, empty_graph,
                        is_isomorphic, path_graph, pyramid_graph, relabel,
                        star_graph)
-from specgraph.canonical import is_min_key, min_key
+from specgraph.canonical import (_twin_masks, canonical_blocks, extension_twins, is_min_key,
+                                 min_key)
+from specgraph.graphs import add_column, pair_count
+from specgraph.search import enumerate_graphs
 
 
 def test_canonical_form_is_permutation_invariant(rng):
@@ -155,3 +158,55 @@ def test_bitstring_view():
     form = canonical_form(path_graph(3))
     assert len(form.bitstring) == 3
     assert form.to_graph().order == 3
+
+
+def _assert_shared_search_matches_one_test_per_block(h):
+    """canonical_blocks on the canonical prefix h, over every block, against
+    one is_min_key per block."""
+    j, masks = h.order, h.neighbor_masks()
+    blocks = range(1 << j)
+    one_by_one = [b for b in blocks if is_min_key(j + 1, add_column(masks, b), (h.bits << j) | b)]
+    assert canonical_blocks(j, masks, h.bits, blocks) == one_by_one, (j, h.bits)
+
+
+def test_shared_search_matches_one_test_per_block_up_to_order_7():
+    # every canonical prefix of order <= 7 and every block, not only the
+    # blocks that the column floor and the twin rule leave to a sweep
+    for j in range(1, 8):
+        for h in enumerate_graphs(j):
+            _assert_shared_search_matches_one_test_per_block(h)
+
+
+def test_shared_search_matches_one_test_per_block_on_larger_prefixes(rng):
+    # seeded random prefixes of order 8 and 9, dense and sparse, each the
+    # canonical form of a relabelled graph; and the twin-rich families up to
+    # order 10
+    prefixes = []
+    for _ in range(2):
+        for n in (8, 9):
+            m = pair_count(n)
+            for g in (random_graph(rng, n),
+                      Graph(n, rng.getrandbits(m) & rng.getrandbits(m) & rng.getrandbits(m))):
+                form = canonical_form(relabel(g, rng.sample(range(n), n)))
+                assert form == canonical_form(g)
+                prefixes.append(form.to_graph())
+    for n, _, g in _twin_rich_graphs():
+        prefixes.append(canonical_form(relabel(g, rng.sample(range(n), n))).to_graph())
+    # the order-8 reps with a block that only one comparison refutes: v ties
+    # at depth 7, and the last vertex's block then falls below b
+    prefixes += [Graph(8, bits) for bits in (
+        27733, 27861, 297037, 305609, 305613, 305626, 305627, 871499, 880089, 880093,
+        5048519, 5048779, 5073877, 5615181, 5616472, 5616604)]
+    for h in prefixes:
+        _assert_shared_search_matches_one_test_per_block(h)
+
+
+def test_extension_twins_equal_a_fresh_build(rng):
+    graphs = [h for j in range(1, 7) for h in enumerate_graphs(j)]
+    graphs += [random_graph(rng, rng.randint(1, 9)) for _ in range(40)]
+    for h in graphs:
+        masks = h.neighbor_masks()
+        twins = _twin_masks(h.order, masks)
+        for b in range(1 << h.order):
+            ext = add_column(masks, b)
+            assert extension_twins(twins, ext) == _twin_masks(h.order + 1, ext), (h.order, h.bits, b)

@@ -162,14 +162,24 @@ def test_ds_past_its_order_cap_is_an_error_object(capsys):
 
 def test_ds_past_the_census_warns_on_stderr_only():
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-W", "default::ResourceWarning", "-m", "specgraph",
-                           "ds", "--star", "8"],
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}  # no user filter
+    proc = subprocess.run([sys.executable, "-m", "specgraph", "ds", "--star", "8"],
                           capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          env=dict(env, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"is_ds": False, "mates": ["H????{]"],
                                        "searched_order": 9}
     assert "ResourceWarning" in proc.stderr and "Polya" in proc.stderr
+
+
+def test_a_user_warning_filter_overrides_the_cli_default():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "ignore::ResourceWarning", "-m", "specgraph",
+                           "ds", "--star", "8"],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0 and "ResourceWarning" not in proc.stderr
+    assert json.loads(proc.stdout)["mates"] == ["H????{]"]
 
 
 def test_nu_subcommand_below_cap(capsys):

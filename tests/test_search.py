@@ -12,7 +12,7 @@ from specgraph import (DsVerdict, OrderCapError, ParameterError, SpecGraphError,
                        empty_graph, enumerate_graphs, graph6_encode, is_connected, is_ds,
                        is_isomorphic, path_graph, pyramid_graph, relabel, search,
                        smallest_non_cp_non_ds_order, star_cospectral_mate, star_graph)
-from specgraph.canonical import is_min_key, min_key
+from specgraph.canonical import _twin_masks, is_min_key, min_key
 from specgraph.graphs import Graph, add_column, pair_count
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -168,8 +168,9 @@ def test_twin_rule_skips_only_non_canonical_blocks():
             masks = h.neighbor_masks()
             floor = search._column_floor(n, h.bits)
             below_floor += floor
-            twin_skipped += (1 << n) - len(search._twin_rule(n, masks, range(1 << n)))
-            kept = set(search._twin_rule(n, masks, range(floor, 1 << n)))
+            twins = _twin_masks(n, masks)
+            twin_skipped += (1 << n) - len(search._twin_rule(n, twins, range(1 << n)))
+            kept = set(search._twin_rule(n, twins, range(floor, 1 << n)))
             for b in range(1 << n):
                 if b not in kept:
                     skipped += 1
@@ -178,16 +179,27 @@ def test_twin_rule_skips_only_non_canonical_blocks():
 
 
 def _count_canonicity_tests(monkeypatch) -> list:
-    """The keys of the sweep's canonicity tests, appended as they are made."""
+    """The keys of the sweep's canonicity tests, one per candidate block,
+    appended as they are made."""
     calls = []
-    counted = search.is_min_key
+    counted = search._canonical_blocks
 
-    def counting(n, masks, key):
-        calls.append(key)
-        return counted(n, masks, key)
+    def counting(j, masks, key, blocks, twins):
+        calls.extend((key << j) | b for b in blocks)
+        return counted(j, masks, key, blocks, twins)
 
-    monkeypatch.setattr(search, "is_min_key", counting)
+    monkeypatch.setattr(search, "_canonical_blocks", counting)
     return calls
+
+
+def _refuse_key(monkeypatch, lost):
+    """Make the walk's canonicity test refuse the bitstring lost as well."""
+    tested = search._canonical_blocks
+
+    def refusing(j, masks, key, blocks, twins):
+        return [b for b in tested(j, masks, key, blocks, twins) if (key << j) | b != lost]
+
+    monkeypatch.setattr(search, "_canonical_blocks", refusing)
 
 
 def test_canonicity_test_counts_are_pinned(monkeypatch):
@@ -335,10 +347,7 @@ def test_is_ds_refuses_a_layer_short_of_its_polya_count(monkeypatch, capsys):
     from specgraph.cli import main
     query = path_graph(4)
     assert search._integer_eigenvalue_bounds(query, charpoly(query)) == ()
-    lost = canonical_form(disjoint_union(cycle_graph(3), empty_graph(1))).key
-    tested = search.is_min_key
-    monkeypatch.setattr(search, "is_min_key",
-                        lambda n, masks, key: tested(n, masks, key) and key != lost)
+    _refuse_key(monkeypatch, canonical_form(disjoint_union(cycle_graph(3), empty_graph(1))).key)
     with pytest.raises(SpecGraphError, match=r"\(n=4, e=3\) has 2 classes, but Polya counts 3"):
         is_ds(query)
     assert main(["ds", graph6_encode(query)]) == 1
@@ -347,10 +356,7 @@ def test_is_ds_refuses_a_layer_short_of_its_polya_count(monkeypatch, capsys):
 
 
 def test_is_ds_refuses_a_query_whose_own_class_is_cut(monkeypatch):
-    own = canonical_form(star_graph(4)).key
-    tested = search.is_min_key
-    monkeypatch.setattr(search, "is_min_key",
-                        lambda n, masks, key: tested(n, masks, key) and key != own)
+    _refuse_key(monkeypatch, canonical_form(star_graph(4)).key)
     with pytest.raises(SpecGraphError, match="own class did not survive"):
         is_ds(star_graph(4))
 
