@@ -201,7 +201,7 @@ def canonical_blocks(j: int, masks: list[int], key: int, blocks: Sequence[int],
     if twins is None:
         twins = _twin_masks(j, masks)
     n, m, v = j + 1, pair_count(j), j
-    want = [(key >> (m - d * (d + 1) // 2)) & ((1 << d) - 1) for d in range(j)]
+    want = [(key >> (m - d * (d + 1) // 2)) & ((1 << d) - 1) for d in range(j)]  # K's blocks
     sees = [0] * j  # bit i of entry u: block i sees u
     for i, b in enumerate(blocks):
         while b:
