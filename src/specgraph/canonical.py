@@ -45,9 +45,9 @@ node costs O(p) big-int operations for all blocks together, and a refuted
 block drops out of the walk.  A tie's first step is shared too: after s + v,
 the least next block of H+b is H's least next block after s followed by one
 bit, set iff b sees every vertex that gives it, so a tie that this step breaks
-needs no search.  The searches left wait until the walk ends, and the ones
-from the longest starts run first: a block refuted by the walk or by a short
-search is never searched from a short start.
+needs no search.  The searches left wait until the walk ends and run longest
+start first, so the cheap ones go first: a block that the walk or a cheap
+search refutes is never searched from a short start.
 
 Twins are handled per block.  Twins u and w of H stay twins of H+b iff b
 holds both or neither, and only then does swapping them map the walk's
