@@ -13,14 +13,47 @@ scanning the placed vertices in order, keep the candidates that miss the
 vertex's neighbourhood when some do (a 0 bit), and all of them otherwise (a 1
 bit).
 
+A search with no start places a leading independent set first, as one
+unordered cell.  While some unplaced vertex misses every placed vertex, the
+least next block is all zeros, so the placed vertices are independent and
+their C(s, 2) bits are zeros in any order of them.  A maximal independent set
+that is not maximum puts a 1 into the next block where a maximum one still
+has zeros, so only the maximum independent sets lead.  They are enumerated as
+sets: vertices are added in increasing index, a twin of a vertex already tried
+is skipped, a set with a free vertex but none past its last is dropped (a dead
+end, not maximal), and so is a branch too small to reach the largest size
+found.
+
+Each leading set then fills the first positions as one cell whose internal
+order is fixed lazily, and the key stays exact.  The tie set, every order of
+the cell, fills consecutive positions, and an independent cell's order is
+invisible until a later block: its vertices miss each other and have seen
+the same placed vertices.  Over a cell, the least block of the next vertex w
+is the cell's non-neighbours of w as zeros, then its neighbours as ones, and
+exactly the orders that put the non-neighbours first give it.  So placing w
+splits every cell into (non-neighbours, neighbours), each still unordered,
+and each prefix the search builds is the least over the orderings its cells
+allow.  Every ordering still counts, and the result is the lexicographic
+minimum, bit for bit.  The candidates with the least block over a cell of two
+or more vertices are those with the fewest neighbours in it.  The cell holds
+the bit slices of that count for every vertex, most significant first, so
+one mask operation per slice filters all candidates at once.  A cell of one
+vertex holds its neighbour mask, and once every cell has one vertex the masks
+join the placed ones.  A leading set of two is placed as two single vertices
+instead, in both orders (one if they are twins): the first vertex that sees
+just one of them would split the cell anyway, and the second order costs
+less than the cell.  A search from a start places single vertices only.
+
 Twins are pruned as well.  Vertices u and w are twins when
 N(u) minus w equals N(w) minus u.  Swapping two twins that are both still
-unplaced is an automorphism that fixes every placed vertex, so it maps the
-subtree that places u next onto the subtree that places w next, string for
-string.  Once one twin has been tried at a depth, the others are skipped
-there.  Twins have equal blocks, so the skip never changes which block is
-smallest, and the result is still the minimum over all orderings.  The pruning
-uses automorphisms only: it removes duplicate subtrees and changes no key.
+unplaced is an automorphism that fixes every placed vertex, and so every
+cell, so it maps the subtree that places u next onto the subtree that places
+w next, string for string.  Once one twin has been tried at a depth, the
+others are skipped there.  Twins have equal blocks, so the skip never changes
+which block is smallest, and the result is still the minimum over all
+orderings.  In the leading set a twin w after a tried u is skipped too:
+adjacent twins swap w's sets onto u's, and non-adjacent twins share every
+maximal set, so w's sets, which lack u, are dead ends.
 
 Orderly generation asks, for a canonical prefix H of order j with minimal
 key K, which blocks b make K' = (K << j) | b the minimal key of H+b, the
@@ -60,6 +93,7 @@ of H+b from H's with one comparison per vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Sequence
 
 from .errors import OrderCapError
@@ -118,31 +152,72 @@ def extension_twins(twins: list[int], masks: list[int]) -> list[int]:
     return out
 
 
+@cache
+def _shifts(n: int) -> tuple[int, ...]:
+    """Entry d: the bits after depth d's block in a string of order n."""
+    m = pair_count(n)
+    return tuple(m - d * (d + 1) // 2 for d in range(n))
+
+
 def _least_string(n: int, masks: list[int], bound: int, stop_below: bool,
                   twins: Optional[list[int]] = None, start: Sequence[int] = ()) -> int:
     """The least bitstring over the orderings that begin with the vertices of
-    start (fewer than n of them), or bound if none is smaller.
+    start (fewer than n of them), or bound if none is smaller.  A nonempty
+    start must tie with bound: its string is bound's first C(len(start), 2)
+    bits.
 
     With stop_below, returns as soon as some prefix falls below bound's, with
     a value below bound that need not be a bitstring of the graph.  twins, if
     given, are the graph's twin masks.
     """
-    m = pair_count(n)
-    shift = [m - d * (d + 1) // 2 for d in range(n)]  # bits after depth d's block
+    shift = _shifts(n)
     if twins is None:
         twins = _twin_masks(n, masks)
-    placed = [masks[u] for u in start]  # neighbour masks of the placed vertices, in order
-    prefix = 0
-    unplaced = (1 << n) - 1
-    for d, u in enumerate(start):
-        for w in start[:d]:
-            prefix = (prefix << 1) | (masks[u] >> w & 1)
-        unplaced ^= 1 << u
     best = bound
+    made: dict[int, tuple[int, int, tuple[int, ...]]] = {}
 
-    def descend(depth: int, prefix: int, unplaced: int) -> bool:
+    def cell_of(cell: int) -> tuple[int, int, tuple[int, ...]]:
+        """(cell, its size, the bit slices of the number of neighbours each
+        vertex has in it, most significant first), for a cell of two or more
+        vertices."""
+        if cell not in made:
+            size = cell.bit_count()
+            slices = [0] * size.bit_length()  # least significant first, wide enough for size
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                carry, i = masks[low.bit_length() - 1], 0
+                while carry:
+                    s = slices[i]
+                    slices[i] = s ^ carry
+                    carry &= s
+                    i += 1
+            made[cell] = cell, size, tuple(reversed(slices))
+        return made[cell]
+
+    def descend(depth: int, prefix: int, unplaced: int, cells: list, placed: list) -> bool:
+        """cells: the leading independent set's cells while one has two or
+        more vertices, else empty; placed: the neighbour masks of the
+        positions after them."""
         nonlocal best
         least, block = unplaced, 0
+        for _, size, slices in cells:
+            if size == 1:
+                miss = least & ~slices
+                if miss:
+                    least, block = miss, block << 1
+                else:
+                    block = (block << 1) | 1
+                continue
+            ones = 0  # the least number of neighbours in the cell
+            for s in slices:
+                miss = least & ~s
+                if miss:
+                    least, ones = miss, ones << 1
+                else:
+                    ones = (ones << 1) | 1
+            block = (block << size) | ((1 << ones) - 1)
         for s in placed:
             miss = least & ~s
             if miss:
@@ -167,14 +242,82 @@ def _least_string(n: int, masks: list[int], bound: int, stop_below: bool,
             if twins[u] & tried:
                 continue  # a twin's subtree already held the same strings
             tried |= low
-            placed.append(masks[u])
-            stop = descend(depth + 1, prefix, unplaced ^ low)
-            placed.pop()
+            seen, split, after = masks[u], cells, placed
+            if cells:
+                split, whole = [], True  # whole: every cell is a singleton
+                for entry in cells:
+                    cell = entry[0]
+                    hit = cell & seen
+                    if hit and hit != cell:  # non-neighbours first, then neighbours
+                        for part in (cell ^ hit, hit):
+                            if part & (part - 1):
+                                split.append(cell_of(part))
+                                whole = False
+                            else:  # a singleton holds its vertex's neighbour mask
+                                split.append((part, 1, masks[part.bit_length() - 1]))
+                    else:
+                        split.append(entry)
+                        whole = whole and entry[1] == 1
+                if whole:  # the cells' masks join the placed ones
+                    split, after = [], [entry[2] for entry in split] + placed
+            after.append(seen)
+            stop = descend(depth + 1, prefix, unplaced ^ low, split, after)
+            after.pop()
             if stop:
                 return True
         return False
 
-    descend(len(start), prefix, unplaced)
+    top, leading = 0, []  # the size of the largest independent sets found, and those sets
+
+    def independent(size: int, chosen: int, free: int, above: int) -> None:
+        """Extend chosen, an independent set of size vertices, by the vertices
+        of free (those that miss it) in above (those past its last), keeping
+        the largest maximal sets in leading."""
+        nonlocal top
+        grow = free & above
+        if size + grow.bit_count() < top:
+            return  # too small to be maximum
+        tried = 0
+        while grow:
+            low = grow & -grow
+            grow ^= low
+            u = low.bit_length() - 1
+            if twins[u] & tried:
+                continue  # a twin's subtree held the same sets, or only dead ends
+            tried |= low
+            rest = free & ~masks[u] & ~low
+            if rest:
+                if rest >> u + 1:  # else chosen + u misses a vertex but can add none: a dead end
+                    independent(size + 1, chosen | low, rest, -(low << 1))
+            elif size + 1 >= top:
+                if size + 1 > top:
+                    top = size + 1
+                    leading.clear()
+                leading.append(chosen | low)
+
+    unplaced = (1 << n) - 1
+    if start:
+        for u in start:
+            unplaced ^= 1 << u
+        descend(len(start), bound >> shift[len(start) - 1], unplaced, [], [masks[u] for u in start])
+        return best
+    independent(0, 0, unplaced, -1)
+    if top == n:
+        return 0
+    if stop_below and best >> shift[top - 1]:
+        return 0  # below bound's prefix
+    for chosen in leading:
+        u, w = (chosen & -chosen).bit_length() - 1, chosen.bit_length() - 1  # first, last
+        if top == 1:
+            stop = descend(1, 0, unplaced ^ chosen, [], [masks[u]])
+        elif top == 2:  # placed singly, in both orders unless u and w are twins
+            stop = descend(2, 0, unplaced ^ chosen, [], [masks[u], masks[w]])
+            if not stop and not twins[u] >> w & 1:
+                stop = descend(2, 0, unplaced ^ chosen, [], [masks[w], masks[u]])
+        else:
+            stop = descend(top, 0, unplaced ^ chosen, [cell_of(chosen)], [])
+        if stop:
+            break
     return best
 
 
@@ -200,8 +343,8 @@ def canonical_blocks(j: int, masks: list[int], key: int, blocks: Sequence[int],
     """
     if twins is None:
         twins = _twin_masks(j, masks)
-    n, m, v = j + 1, pair_count(j), j
-    want = [(key >> (m - d * (d + 1) // 2)) & ((1 << d) - 1) for d in range(j)]  # K's blocks
+    n, v = j + 1, j
+    want = [(key >> s) & ((1 << d) - 1) for d, s in enumerate(_shifts(j))]  # K's blocks
     sees = [0] * j  # bit i of entry u: block i sees u
     for i, b in enumerate(blocks):
         while b:

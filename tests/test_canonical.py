@@ -7,8 +7,8 @@ from specgraph import (Graph, OrderCapError, canonical_form, complement,
                        complete_graph, cycle_graph, disjoint_union, empty_graph,
                        is_isomorphic, path_graph, pyramid_graph, relabel,
                        star_graph)
-from specgraph.canonical import (_twin_masks, canonical_blocks, extension_twins, is_min_key,
-                                 min_key)
+from specgraph.canonical import (_least_string, _twin_masks, canonical_blocks, extension_twins,
+                                 is_min_key, min_key)
 from specgraph.graphs import add_column, pair_count
 from specgraph.search import enumerate_graphs
 
@@ -80,6 +80,46 @@ def test_canonical_key_equals_brute_force_minimum(rng):
         key = min_key(g.order, masks)
         assert is_min_key(g.order, masks, g.bits) == (key == g.bits)
         assert is_min_key(g.order, Graph(g.order, key).neighbor_masks(), key)
+
+
+def _singleton_path_minimum(n, masks):
+    """The least string from the searches that start at each single vertex:
+    they place one vertex at a time and never form the leading independent
+    cell."""
+    if n == 1:
+        return 0
+    every = (1 << pair_count(n)) - 1  # no string is above all ones
+    return min(_least_string(n, masks, every, False, start=(v,)) for v in range(n))
+
+
+def _assert_cell_search_matches_singleton_path(g, key=None):
+    n, masks = g.order, g.neighbor_masks()
+    least = _singleton_path_minimum(n, masks)
+    assert min_key(n, masks) == least, (n, g.bits)
+    assert key is None or key == least, (n, g.bits)
+    assert is_min_key(n, masks, g.bits) == (g.bits == least), (n, g.bits)
+    assert is_min_key(n, Graph(n, least).neighbor_masks(), least), (n, g.bits)
+
+
+def test_cell_search_matches_singleton_path_on_every_class_up_to_order_7(rng):
+    for n in range(1, 8):
+        for h in enumerate_graphs(n):
+            _assert_cell_search_matches_singleton_path(relabel(h, rng.sample(range(n), n)), h.bits)
+
+
+def test_cell_search_matches_singleton_path_on_orders_8_to_10(rng):
+    # densities 1/10 to 9/10, and the sparse order-10 graphs whose leading
+    # independent sets are largest
+    samples = []
+    for n in (8, 9, 10):
+        m = pair_count(n)
+        for tenths in range(1, 10):
+            for _ in range(3):
+                samples.append((n, round(m * tenths / 10)))
+    samples += [(10, e) for e in range(3, 9) for _ in range(2)]
+    for n, e in samples:
+        g = Graph.from_edges(n, rng.sample([(u, v) for v in range(n) for u in range(v)], e))
+        _assert_cell_search_matches_singleton_path(g)
 
 
 def _min_over_clique_placements(n, k):
