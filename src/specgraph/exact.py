@@ -1,19 +1,37 @@
 """Exact spectra: integer characteristic polynomials and closed forms.
 
-Two paths compute the characteristic polynomial over the integers, so
+One routine computes the characteristic polynomial over the integers, so
 cospectrality is decided by integer equality and never by floating point:
+``charpolys(graphs)`` takes a set of graphs of one order n up to
+``CHARPOLY_ORDER_CAP``, and ``charpoly(g)`` is the same routine on a batch of
+one, cached.  For each of a few primes p, it reduces the power traces
+p_k = tr(A^k) mod p and solves Newton's identities
 
-- ``charpoly(g)``, the single-graph path: the division-free
-  Samuelson-Berkowitz recurrence in Python integers, for any order up to
-  ``CHARPOLY_ORDER_CAP``.  It is also the reference for the other path.
-- ``charpolys(graphs)``, the batched path for a census or one edge layer of
-  it: power traces and Newton's identities in int64 numpy, for a set of
-  graphs of one order up to ``CHARPOLYS_ORDER_CAP``.
+    k c_k = -(p_2 c_{k-2} + ... + p_k c_0),   c_0 = 1,  c_1 = -p_1 = 0,
 
-A single graph goes to ``charpoly``; a same-order set of graphs of order at
-most 10 goes to ``charpolys``.  Closed-form spectra hold eigenvalues as exact
-rationals or quadratic surds and can be expanded back into the characteristic
-polynomial for cross-checking.
+mod p, dividing by k through its inverse mod p.  The Chinese remainder
+theorem then gives each c_j modulo the product M of the primes, and the
+symmetric residue in (-M/2, M/2) is c_j itself, because M exceeds twice
+Hadamard's bound: c_j is (-1)^j times the sum of the C(n, j) principal j x j
+minors, each of whose rows has at most j - 1 ones, so
+|c_j| <= C(n, j) (j-1)^(j/2).  ``_plan`` picks the fewest primes of
+``PRIMES`` whose product beats that bound (one up to order 12, eight at 64).
+
+Every value fits in int64.  Residues are below p < 2^25, so a product of
+two is below 2^50.  A step A^m = A^(m-1) A sums at most n <= 2^6 residues,
+below 2^31; a trace, as A is symmetric the entrywise product sum of
+A^(m-1) or A^m with A^m, sums n^2 <= 2^12 products, below 2^62; a Newton
+sum adds at most 63 products, below 2^56.  A power whose entries cannot
+reach the least prime, by the walk count bound (n-1)^m, is left unreduced,
+so up to order 10, where A^1 ... A^5 stay below p, only the traces and the
+Newton sums are reduced.
+
+``berkowitz_level`` is one level of the division-free Samuelson-Berkowitz
+recurrence in Python integers: the DS search extends a prefix's charpoly by
+one vertex with it, and its fold ``berkowitz_charpoly`` is the independent
+reference for the residue routine.  Closed-form spectra hold eigenvalues as
+exact rationals or quadratic surds and can be expanded back into the
+characteristic polynomial for cross-checking.
 """
 
 from __future__ import annotations
@@ -21,42 +39,153 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import NotGraphPolynomialError, OrderCapError, ParameterError, SpecGraphError
+from .errors import NotGraphPolynomialError, OrderCapError, ParameterError
 from .graphs import FamilyKind, FamilySpec, Graph, adjacency_tensor, make_family
 from .polynomials import FactoredIntPolynomial, IntPolynomial, divmod_by_monic
 
 CHARPOLY_ORDER_CAP = 64
-CHARPOLYS_ORDER_CAP = 10
-_CHUNK = 256  # graphs per batched product: bounded memory, no per-graph cache
+# the eight largest primes below 2^25: their product beats twice Hadamard's
+# bound at order 64
+PRIMES = (33554393, 33554383, 33554371, 33554347, 33554341, 33554317, 33554291, 33554273)
+_CHUNK_RESIDUES = 1 << 22  # the powers of one chunk hold at most this many (32 MB)
+_CHUNK = 256  # graphs per chunk at most: bounded memory, no per-graph cache
+
+
+def hadamard_bound_squared(n: int) -> int:
+    """max_j C(n, j)^2 (j-1)^j, the square of Hadamard's bound on the
+    charpoly coefficients of an order-n graph, in integers."""
+    return max(math.comb(n, j) ** 2 * (j - 1) ** j for j in range(n + 1))
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What charpolys needs at one order: the primes, the inverses, the first
+    power to reduce, the chunk size and the CRT weights."""
+
+    order: int
+    primes: tuple[int, ...]
+    moduli: np.ndarray  # the primes, shape (P, 1)
+    neg_inverses: np.ndarray  # -1/k mod p at [k], shape (n + 1, P, 1)
+    reduce_from: int  # least m with (n-1)^m >= min(primes)
+    chunk: int
+    modulus: int  # M, the product of the primes
+    weights: tuple[int, ...]  # w_i = 1 mod p_i and 0 mod the others
+
+
+@cache
+def _plan(n: int) -> _Plan:
+    bound2 = hadamard_bound_squared(n)
+    count, modulus = 0, 1
+    while modulus * modulus <= 4 * bound2:
+        modulus *= PRIMES[count]
+        count += 1
+    primes = PRIMES[:count]
+    reduce_from = 2
+    while reduce_from <= n and (n - 1) ** reduce_from < primes[-1]:
+        reduce_from += 1
+    neg_inverses = [[0] * count, [0] * count]
+    neg_inverses += [[-pow(k, -1, p) % p for p in primes] for k in range(2, n + 1)]
+    weights = tuple(modulus // p * pow(modulus // p, -1, p) for p in primes)
+    return _Plan(order=n, primes=primes,
+                 moduli=np.array(primes, dtype=np.int64).reshape(-1, 1),
+                 neg_inverses=np.array(neg_inverses, dtype=np.int64).reshape(n + 1, count, 1),
+                 reduce_from=reduce_from,
+                 chunk=max(1, min(_CHUNK, _CHUNK_RESIDUES // ((n + 1) // 2 * count * n * n))),
+                 modulus=modulus, weights=weights)
+
+
+def charpolys(graphs: Sequence[Graph]) -> list[tuple[int, ...]]:
+    """Charpoly coefficients, highest degree first, of graphs of one order
+    n <= CHARPOLY_ORDER_CAP, by power traces and Newton's identities modulo
+    the primes of the order's plan (module docstring)."""
+    if not graphs:
+        return []
+    n = graphs[0].order
+    if any(g.order != n for g in graphs):
+        raise ParameterError("charpolys needs graphs of one order")
+    if n > CHARPOLY_ORDER_CAP:
+        raise OrderCapError(f"charpolys capped at order {CHARPOLY_ORDER_CAP}")
+    plan = _plan(n)
+    out: list[tuple[int, ...]] = []
+    for start in range(0, len(graphs), plan.chunk):
+        adj = adjacency_tensor(n, [g.bits for g in graphs[start:start + plan.chunk]])
+        out.extend(_from_residues(plan, _newton(plan, _power_traces(plan, adj))))
+    return out
 
 
 @lru_cache(maxsize=32768)
 def charpoly(g: Graph) -> IntPolynomial:
-    """det(xI - A(g)) via the division-free Berkowitz recurrence; monic, exact."""
+    """det(xI - A(g)): charpolys on a batch of one; monic, exact."""
     if g.order > CHARPOLY_ORDER_CAP:
         raise OrderCapError(f"charpoly capped at order {CHARPOLY_ORDER_CAP}")
-    n = g.order
-    masks = g.neighbor_masks()
-    vec = [1]
-    rows_lt: list[list[int]] = [[] for _ in range(n)]  # adjacency below the current level
-    for m in range(n):
-        col = [j for j in range(m) if (masks[m] >> j) & 1]
-        vec = _berkowitz_level(vec, rows_lt[:m], col)
-        for j in col:
-            rows_lt[j].append(m)
-        rows_lt[m] = col
-    return IntPolynomial(tuple(vec))
+    return IntPolynomial(charpolys([g])[0])
+
+
+def _power_traces(plan: _Plan, adj: np.ndarray) -> np.ndarray:
+    """tr(A^k) mod p at [k, i, b] for k = 2..n, prime i and graph b.
+
+    A^m is built mod each prime for m <= h = ceil(n/2), reduced only from
+    m = reduce_from on; tr(A^(2m)) and tr(A^(2m-1)) are the entrywise product
+    sums of A^m with A^m and with A^(m-1).
+    """
+    n, moduli = plan.order, plan.moduli
+    powers = np.empty(((n + 1) // 2, len(plan.primes)) + adj.shape, dtype=np.int64)
+    powers[0] = adj
+    for m in range(2, len(powers) + 1):
+        np.matmul(powers[m - 2], adj, out=powers[m - 1])
+        if m >= plan.reduce_from:
+            np.remainder(powers[m - 1], moduli[..., None, None], out=powers[m - 1])
+    traces = np.zeros((n + 1,) + powers.shape[1:3], dtype=np.int64)
+    traces[2::2] = np.einsum("m...ij,m...ij->m...", powers, powers)[:n // 2]
+    traces[3::2] = np.einsum("m...ij,m...ij->m...", powers[:-1], powers[1:])
+    return np.remainder(traces, moduli, out=traces)
+
+
+def _newton(plan: _Plan, traces: np.ndarray) -> np.ndarray:
+    """c_k mod p at [k, i, b] from the traces, by Newton's identities."""
+    moduli = plan.moduli
+    coeffs = np.zeros_like(traces)
+    coeffs[0] = 1
+    for k in range(2, plan.order + 1):
+        total = np.vecdot(traces[2:k + 1], coeffs[k - 2::-1], axis=0)
+        np.remainder(total % moduli * plan.neg_inverses[k], moduli, out=coeffs[k])
+    return coeffs
+
+
+def _from_residues(plan: _Plan, residues: np.ndarray) -> list[tuple[int, ...]]:
+    """Each graph's coefficients as the symmetric residues mod M of their CRT
+    lifts; residues is indexed [k, prime, graph]."""
+    if len(plan.primes) == 1:  # the residues are the lifts: stay in numpy
+        p = plan.primes[0]
+        coeffs = residues[:, 0]
+        coeffs = np.where(coeffs > p // 2, coeffs - p, coeffs)
+        return list(map(tuple, coeffs.T.tolist()))
+    modulus, half, weights = plan.modulus, plan.modulus // 2, plan.weights
+    out = []
+    for graph in residues.transpose(2, 0, 1).tolist():
+        lifts = (sum(map(int.__mul__, rs, weights)) % modulus for rs in graph)
+        out.append(tuple(c - modulus if c > half else c for c in lifts))
+    return out
+
+
+def berkowitz_charpoly(masks: Sequence[int]) -> tuple[int, ...]:
+    """Charpoly coefficients of the graph given by its neighbour masks, by
+    the Berkowitz recurrence level by level: the independent reference."""
+    coeffs = [1]
+    for j in range(1, len(masks) + 1):
+        coeffs = berkowitz_level(coeffs, masks[:j])
+    return tuple(coeffs)
 
 
 def berkowitz_level(coeffs: Sequence[int], masks: Sequence[int]) -> list[int]:
     """Charpoly coefficients of the graph given by masks, from coeffs, those of
     its leading block: the graph on all vertices but the last.  One level of
-    charpoly's recurrence."""
+    the Samuelson-Berkowitz recurrence."""
     m = len(masks) - 1
     below = (1 << m) - 1
     rows = [_bit_indices(mask & below) for mask in masks]
@@ -93,46 +222,6 @@ def _berkowitz_level(vec: Sequence[int], rows: list[list[int]], col: list[int]) 
                 if i + j < m + 2:
                     new[i + j] += ti * vj
     return new
-
-
-def charpolys(graphs: Sequence[Graph]) -> list[tuple[int, ...]]:
-    """Charpoly coefficients, highest degree first, of graphs of one order n <= 10.
-
-    For each chunk of graphs: the int64 adjacency tensor decoded from their
-    bits, the power traces p_k = tr(A^k) for k = 2..n, and Newton's
-    identities k c_k = -(p_2 c_{k-2} + ... + p_k c_0), with c_0 = 1 and
-    c_1 = -p_1 = 0.  Every division is checked to be exact.  As A is
-    symmetric, tr(A^k) is the entrywise product sum of A^(k // 2) and
-    A^(k - k // 2), so batched products build the powers only up to A^ceil(n/2).
-
-    int64 holds every value for n <= 10: entries of A^k are at most 9^10,
-    traces at most 10 * 9^10 < 3.5e10, and |c_j| <= C(n, j) j^(j/2) < 2e5 by
-    Hadamard's bound on the principal minors, so each Newton sum stays below
-    9 * 3.5e10 * 2e5 < 2^57, far below 2^63.
-    """
-    if not graphs:
-        return []
-    n = graphs[0].order
-    if any(g.order != n for g in graphs):
-        raise ParameterError("charpolys needs graphs of one order")
-    if n > CHARPOLYS_ORDER_CAP:
-        raise OrderCapError(f"charpolys capped at order {CHARPOLYS_ORDER_CAP}")
-    out: list[tuple[int, ...]] = []
-    for start in range(0, len(graphs), _CHUNK):
-        adj = adjacency_tensor(n, [g.bits for g in graphs[start:start + _CHUNK]])
-        powers = [None, adj]
-        traces = [None, None]  # p_0 and p_1 do not enter: c_1 = 0
-        coeffs = [np.ones(len(adj), dtype=np.int64), np.zeros(len(adj), dtype=np.int64)]
-        for k in range(2, n + 1):
-            if len(powers) <= k - k // 2:
-                powers.append(powers[-1] @ adj)
-            traces.append(np.einsum("bij,bij->b", powers[k // 2], powers[k - k // 2]))
-            quot, rem = np.divmod(-sum(traces[i] * coeffs[k - i] for i in range(2, k + 1)), k)
-            if rem.any():
-                raise SpecGraphError(f"Newton's identity not exact at k={k}: int64 overflow")
-            coeffs.append(quot)
-        out.extend(map(tuple, np.stack(coeffs, axis=1).tolist()))
-    return out
 
 
 def are_cospectral(g1: Graph, g2: Graph) -> bool:

@@ -10,8 +10,8 @@ graph6 I/O) shares this single layout.
 Column j of the layout is the j-bit block of pairs (0, j) ... (j-1, j).  This
 module alone decodes the layout: into per-vertex neighbour masks
 (``column_blocks``, ``add_column``), from which every other adjacency view of
-one graph is built, and into the int64 adjacency tensor of a batch of graphs
-(``adjacency_tensor``).  ``has_edge`` stays on ``pair_index`` as their
+one graph is built, and into the int64 adjacency tensor of one graph or a
+batch (``adjacency_tensor``).  ``has_edge`` stays on ``pair_index`` as their
 independent reference.
 """
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -60,16 +61,24 @@ def add_column(masks: list[int], block: int) -> list[int]:
     return out
 
 
+@cache
+def _lower_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strictly lower order-n triangle, row-major
+    (np.tril_indices costs more than a whole one-graph decode)."""
+    return np.tril_indices(n, -1)
+
+
 def adjacency_tensor(n: int, bits: Sequence[int]) -> np.ndarray:
     """The int64 adjacency matrices, shape (len(bits), n, n), of the order-n
-    bitstrings `bits`, decoded together: pair (i, j) is bit
-    pair_count(n) - 1 - pair_index(i, j) of its string."""
+    bitstrings `bits`, decoded together for any order.  Each string is
+    unpacked from its big-endian bytes; past the pad bits that fill its first
+    byte, the bits are the pairs in layout order, which is the row-major order
+    of the strictly lower triangle: (1, 0), (2, 0), (2, 1), (3, 0), ..."""
     m = pair_count(n)
-    if m > 62:
-        raise ParameterError(f"an order-{n} bitstring does not fit in int64")
-    later, earlier = np.tril_indices(n, -1)  # every pair (earlier, later), earlier < later
-    shifts = m - 1 - (later * (later - 1) // 2 + earlier)
-    pairs = (np.array(bits, dtype=np.int64).reshape(-1, 1) >> shifts) & 1
+    width = (m + 7) // 8
+    raw = np.frombuffer(b"".join(b.to_bytes(width, "big") for b in bits), dtype=np.uint8)
+    pairs = np.unpackbits(raw.reshape(len(bits), width), axis=1)[:, 8 * width - m:]
+    later, earlier = _lower_triangle(n)
     adj = np.zeros((len(bits), n, n), dtype=np.int64)
     adj[:, earlier, later] = pairs
     adj[:, later, earlier] = pairs

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .exact import charpoly
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, adjacency_tensor, induced_subgraph
 from .polynomials import real_rooted_counts
 
 CLUSTER_TOL = 1e-7
@@ -69,7 +69,7 @@ def eigenvalues(g: Graph) -> NumericSpectrum:
     same under any labelling.  Order cap: that of ``charpoly``.
     """
     poly = charpoly(g)
-    values = np.linalg.eigvalsh(np.array(g.adjacency_rows(), dtype=float)).tolist()
+    values = np.linalg.eigvalsh(adjacency_tensor(g.order, [g.bits])[0]).tolist()
     near: dict[int, list[int]] = {}
     for i, v in enumerate(values):
         if abs(v - round(v)) <= SNAP_TOL:

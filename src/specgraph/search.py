@@ -32,7 +32,7 @@ from typing import Iterable, Optional
 from .canonical import canonical_blocks, extension_twins, is_min_key, min_key
 from .cp import is_cp_graph
 from .errors import OrderCapError, ParameterError, SpecGraphError
-from .exact import CHARPOLYS_ORDER_CAP, berkowitz_level, charpoly, charpolys
+from .exact import berkowitz_charpoly, berkowitz_level, charpolys
 from .graphs import (Graph, add_column, complete_bipartite_graph, disjoint_union, empty_graph,
                      pair_count)
 from .polynomials import IntPolynomial, real_rooted_counts
@@ -417,12 +417,13 @@ def is_ds(g: Graph, workers: int = 1) -> DsVerdict:
     extension.  A query with no integer eigenvalue gets an empty cut, and its
     walk is the plain layer sweep.
 
-    The survivors' charpolys come from the batched path up to order 10 and
-    from Berkowitz above; the mates are the survivors with g's charpoly, in
-    ascending bitstring order.  Two certificates guard every verdict: g's own
-    class must survive and carry g's Berkowitz charpoly, and when the cut
-    dropped nothing the survivors are the whole layer, whose size must equal
-    Polya's count (burnside_layer_counts).
+    g's charpoly comes from the Berkowitz recurrence, the survivors' from the
+    residue path (charpolys); the mates are the survivors with g's charpoly,
+    in ascending bitstring order.  Two certificates guard every verdict: g's
+    own class must survive and carry g's Berkowitz charpoly, so that the two
+    algorithms agree on it, and when the cut dropped nothing the survivors
+    are the whole layer, whose size must equal Polya's count
+    (burnside_layer_counts).
 
     Orders up to DS_ORDER_CAP are searched.  Past ENUMERATION_HARD_CAP a
     ResourceWarning names the layer's Polya count, the most classes the walk
@@ -437,7 +438,8 @@ def is_ds(g: Graph, workers: int = 1) -> DsVerdict:
             f"a DS search at order {n} walks layer (n={n}, e={e}), which holds "
             f"{burnside_layer_counts(n)[e]} classes (Polya) at worst; "
             "this can take a while", ResourceWarning, stacklevel=2)
-    poly = charpoly(g)
+    masks = g.neighbor_masks()
+    poly = IntPolynomial(berkowitz_charpoly(masks))
     keys, cuts = _walk(n, workers, e, _InterlacingCut(_integer_eigenvalue_bounds(g, poly)))
     stats = DsStats(canonicity_tests=sum(c.tests for c in cuts),
                     prefixes_cut=sum(c.cut for c in cuts), survivors=len(keys),
@@ -448,11 +450,8 @@ def is_ds(g: Graph, workers: int = 1) -> DsVerdict:
             raise SpecGraphError(
                 f"layer (n={n}, e={e}) has {len(keys)} classes, but Polya counts {expected}")
     survivors = [Graph(n, k) for k in keys]
-    if n <= CHARPOLYS_ORDER_CAP:
-        polys = charpolys(survivors)
-    else:
-        polys = [charpoly(h).coeffs for h in survivors]
-    own_key = min_key(n, g.neighbor_masks())
+    polys = charpolys(survivors)
+    own_key = min_key(n, masks)
     own = [p for h, p in zip(survivors, polys) if h.bits == own_key]
     if not own:
         raise SpecGraphError(

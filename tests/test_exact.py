@@ -1,5 +1,6 @@
 """Exact characteristic polynomials, cospectrality, and closed-form spectra."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,8 @@ from specgraph import (FamilyKind, FamilySpec, Graph, IntPolynomial, NotGraphPol
                        disjoint_union, empty_graph, edges_and_triangles, enumerate_graphs,
                        make_family, make_surd, path_graph, pyramid_graph, quadratic_roots,
                        star_graph)
-from specgraph.exact import ClosedFormSpectrum, berkowitz_level
+from specgraph.exact import (PRIMES, ClosedFormSpectrum, _plan, berkowitz_charpoly, berkowitz_level,
+                            hadamard_bound_squared)
 
 
 def spec(kind, *params):
@@ -66,23 +68,78 @@ def test_charpoly_multiplicative_over_disjoint_union(rng):
         assert charpoly(disjoint_union(g1, g2)) == charpoly(g1) * charpoly(g2)
 
 
+def _seeded_graph(rng, n, density):
+    return Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j)
+                                if rng.random() < density])
+
+
+def _assert_within_hadamard_bound(coeffs):
+    n = len(coeffs) - 1
+    for j, c in enumerate(coeffs):
+        assert c * c <= math.comb(n, j) ** 2 * (j - 1) ** j, (n, j)
+
+
 def test_charpolys_equal_berkowitz(rng):
     batches = [enumerate_graphs(n) for n in range(1, 8)]  # order 7 spans five chunks
-    for n in (8, 9, 10):
-        graphs = []
-        for _ in range(100):
-            density = rng.random()
-            graphs.append(Graph.from_edges(
-                n, [(i, j) for j in range(n) for i in range(j) if rng.random() < density]))
-        batches.append(graphs)
+    densities = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
+    for n in range(8, 11):
+        batches.append([_seeded_graph(rng, n, rng.random()) for _ in range(100)])
+    # one graph of each order 11..64, the densities in turn
+    for n in range(11, 65):
+        batches.append([_seeded_graph(rng, n, densities[n % len(densities)])])
+    batches.append([_seeded_graph(rng, 64, 0.1) for _ in range(5)])  # two chunks, eight primes
     batches.append([complete_graph(10), empty_graph(10)]
                    + [pyramid_graph(10, k) for k in range(1, 10)])
+    batches.append([complete_graph(64), empty_graph(64), star_graph(63), book_graph(64),
+                    pyramid_graph(64, 5)])
     batches.append([empty_graph(1)])
     for graphs in batches:
         got = charpolys(graphs)
-        assert got == [charpoly(g).coeffs for g in graphs]
+        assert got == [berkowitz_charpoly(g.neighbor_masks()) for g in graphs]
         assert all(type(c) is int for row in got for c in row)  # no numpy scalars
+        for row in got:
+            _assert_within_hadamard_bound(row)
     assert charpolys([]) == []
+
+
+def test_charpolys_equal_closed_forms_up_to_order_64():
+    x = IntPolynomial.x()
+    for n in range(1, 65):
+        got = charpolys([complete_graph(n)])[0]
+        assert got == (IntPolynomial.of(1, 1) ** (n - 1) * IntPolynomial.of(1, 1 - n)).coeffs
+        assert charpolys([empty_graph(n)])[0] == (1,) + (0,) * n
+        if n % 7 == 2:
+            assert charpoly(star_graph(n - 1)) == x ** (n - 2) * IntPolynomial.of(1, 0, -(n - 1))
+        if n % 7 == 3:
+            assert charpoly(book_graph(n)) == charpoly_pyramid_factored(n, 2).expand()
+    for n in (16, 31, 64):
+        ks = (1, 2, 3, n // 2, n - 2, n - 1)
+        assert charpolys([pyramid_graph(n, k) for k in ks]) == [
+            charpoly_pyramid_factored(n, k).expand().coeffs for k in ks]
+
+
+def test_primes_table():
+    assert len(set(PRIMES)) == len(PRIMES)
+    for p in PRIMES:
+        assert 64 < p < 1 << 25
+        assert all(p % q for q in range(2, math.isqrt(p) + 1)), p
+    assert math.prod(PRIMES) ** 2 > 4 * hadamard_bound_squared(64)
+
+
+def test_plans_use_the_fewest_primes_and_reduce_every_power_that_can_reach_one():
+    for n in range(1, 65):
+        plan = _plan(n)
+        bound2 = hadamard_bound_squared(n)
+        assert plan.primes == PRIMES[:len(plan.primes)]
+        assert plan.modulus == math.prod(plan.primes)
+        assert plan.modulus ** 2 > 4 * bound2
+        assert (plan.modulus // plan.primes[-1]) ** 2 <= 4 * bound2, n
+        for m in range(2, (n + 1) // 2 + 1):
+            assert (m >= plan.reduce_from) == ((n - 1) ** m >= min(plan.primes)), (n, m)
+        for k in range(2, n + 1):
+            assert [k * -inv % p for inv, p in zip(plan.neg_inverses[k, :, 0].tolist(),
+                                                    plan.primes)] == [1] * len(plan.primes)
+    assert len(_plan(12).primes) == 1 and len(_plan(64).primes) == 8
 
 
 def test_berkowitz_levels_build_the_charpoly_prefix_by_prefix(rng):
@@ -92,12 +149,12 @@ def test_berkowitz_levels_build_the_charpoly_prefix_by_prefix(rng):
         coeffs = [1, 0]  # the first vertex alone
         for j in range(2, g.order + 1):
             coeffs = berkowitz_level(coeffs, masks[:j])
-        assert tuple(coeffs) == charpoly(g).coeffs
+        assert tuple(coeffs) == charpoly(g).coeffs == berkowitz_charpoly(masks)
 
 
-def test_charpolys_refuse_order_11_and_mixed_orders():
+def test_charpolys_refuse_order_65_and_mixed_orders():
     with pytest.raises(OrderCapError):
-        charpolys([empty_graph(11)])
+        charpolys([empty_graph(65)])
     with pytest.raises(ParameterError, match="one order"):
         charpolys([empty_graph(3), empty_graph(4)])
 

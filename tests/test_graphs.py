@@ -159,12 +159,11 @@ def test_adjacency_views_match_has_edge(rng):
 
 
 def test_adjacency_tensor_matches_neighbor_masks(rng):
-    # every census rep of order <= 8, then seeded random graphs up to order 10
+    # every census rep of order <= 8, then seeded random graphs of every order up to 64
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResourceWarning)  # unless the census is cached
         batches = [enumerate_graphs(n) for n in range(1, 9)]
-    randoms = [random_graph(rng, rng.randint(1, 10)) for _ in range(300)]
-    batches += [[g for g in randoms if g.order == n] for n in range(1, 11)]
+    batches += [[random_graph(rng, n) for _ in range(5)] for n in range(1, 65)]
     for graphs in batches:
         n = graphs[0].order
         tensor = adjacency_tensor(n, [g.bits for g in graphs])
@@ -172,6 +171,7 @@ def test_adjacency_tensor_matches_neighbor_masks(rng):
         masks = [[sum(int(bit) << j for j, bit in enumerate(row)) for row in adj]
                  for adj in tensor]
         assert masks == [g.neighbor_masks() for g in graphs], n
-    assert adjacency_tensor(11, [1 << 54]).sum() == 2  # 55 pairs still fit in int64
-    with pytest.raises(ParameterError, match="int64"):
-        adjacency_tensor(12, [0])
+    # the first pair is the most significant bit, whatever the byte padding
+    for n in (2, 4, 5, 11, 12, 64):
+        tensor = adjacency_tensor(n, [1 << (pair_count(n) - 1)])
+        assert tensor.sum() == 2 and tensor[0, 0, 1] == tensor[0, 1, 0] == 1, n
