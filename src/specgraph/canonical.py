@@ -42,7 +42,7 @@ vertex holds its neighbour mask, and once every cell has one vertex the masks
 join the placed ones.  A leading set of two is placed as two single vertices
 instead, in both orders (one if they are twins): the first vertex that sees
 just one of them would split the cell anyway, and the second order costs
-less than the cell.  A search from a start places single vertices only.
+less than the cell.
 
 Twins are pruned as well.  Vertices u and w are twins when
 N(u) minus w equals N(w) minus u.  Swapping two twins that are both still
@@ -58,36 +58,52 @@ maximal set, so w's sets, which lack u, are dead ends.
 Orderly generation asks, for a canonical prefix H of order j with minimal
 key K, which blocks b make K' = (K << j) | b the minimal key of H+b, the
 graph H plus a vertex v = j with column block b.  canonical_blocks answers for
-a list of blocks with one walk of H's tied orderings.  Any ordering of H+b
-puts v at some position p.  Its first p vertices form an ordering s of p
-vertices of H, whose string is at least K's first C(p, 2) bits because H is
-canonical.  If it is greater, the ordering's string is greater than K'.  So
-only the tied s matter: the nodes of H's own least-block search bounded by K.
-At a tied s, v's block (its adjacency to the vertices of s, in order) is held
-against K''s block at depth p, which is K's block for p < j and b itself at
-p = j, where s is a whole tied ordering of H:
+a list of blocks with one walk: the search above run on H, bounded by K.  As
+K is H's minimal key, the walk's nodes are exactly the tied ones, cells
+included: each stands for the orderings of H's first vertices that its cells
+allow, all with K's prefix.  Any ordering of H+b puts v at some position p,
+and only an ordering whose string is at most K' matters.
 
-- below: K' is not minimal, and b is refuted;
+- p < a, the size of H's largest independent sets.  K' begins with C(a, 2)
+  zeros, so the first a vertices are independent and hold v: a leading set
+  of H+b that holds v.  One search of H+b whose leading sets must hold v
+  covers them (a start of depth 0).
+- p >= a.  The first p vertices form an ordering s of vertices of H, whose
+  string is at least K's first C(p, 2) bits because H is canonical, and if
+  greater the whole string is greater than K'.  So s ties, and it begins
+  with a leading set of H: s is one of the orderings of a node of the walk.
+
+At a node of depth p the walk holds v's block against K''s block there:
+K's block for p < j, and b itself at p = j, after a whole tied ordering of H
+(so the walk goes one level deeper than the search).  Over a cell, v's
+block is least with its non-neighbours first, as for H's own vertices, and
+exactly the orders that put them first give that block.  So v's block over
+a cell of size c is v's number of neighbours in it, written as that many
+ones after c minus that many zeros, and the comparison reads:
+
+- below: some ordering of the node is below K', and b is refuted;
 - above: every ordering that places v here is greater;
-- equal: the search goes on from s + v in H+b, bounded by K' (the start
-  argument of _least_string).  At p = j equal means the string is K'.
+- equal: the search of H+b goes on from the node, with v placed next and
+  every cell split by v into (non-neighbours, neighbours), bounded by K'
+  (the start argument of _least_string).  At p = j equal means the string
+  is K'.
 
-The walk serves all blocks at once.  Block i is bit i of an int, and entry u
-of `sees` is the set of blocks whose vertex v sees u, so the comparison at a
-node costs O(p) big-int operations for all blocks together, and a refuted
-block drops out of the walk.  A tie's first step is shared too: after s + v,
-the least next block of H+b is H's least next block after s followed by one
-bit, set iff b sees every vertex that gives it, so a tie that this step breaks
-needs no search.  The searches left wait until the walk ends and run longest
-start first, so the cheap ones go first: a block that the walk or a cheap
-search refutes is never searched from a short start.
+The walk serves all blocks at once.  Block i is bit i of an int, and the
+walk's masks hold above bit j the set of blocks that see each vertex, so the
+comparison at a node costs O(p) big-int operations for all blocks together,
+and a refuted block drops out of the walk.  Over a cell the bit at position
+r holds the blocks that see at least c - r of it, counted once per cell.
+The ties wait until the walk ends and are searched longest start first, the
+leading-set search last, so the cheap ones go first: a block that the walk
+or a cheap search refutes is never searched from a short start.
 
 Twins are handled per block.  Twins u and w of H stay twins of H+b iff b
 holds both or neither, and only then does swapping them map the walk's
-subtree at u onto the one at w for b.  So w's subtree is skipped only for the
-blocks that entered u's subtree and see both u and w or neither; skipping it
-for every block would refute too few.  extension_twins builds the twin masks
-of H+b from H's with one comparison per vertex.
+subtree at u onto the one at w for b, among the candidates of a node or of
+a leading set.  So w's subtree is skipped only for the blocks that entered
+u's and see both u and w or neither; skipping it for every block would
+refute too few.  extension_twins builds the twin masks of H+b from H's with
+one comparison per vertex.
 """
 
 from __future__ import annotations
@@ -99,7 +115,7 @@ from typing import Optional, Sequence
 from .errors import OrderCapError
 from .graphs import Graph, add_column, pair_count
 
-CANONICAL_ORDER_CAP = 10
+CANONICAL_ORDER_CAP = 12  # canonical forms, isomorphism tests and DS searches
 
 
 @dataclass(frozen=True)
@@ -160,21 +176,32 @@ def _shifts(n: int) -> tuple[int, ...]:
 
 
 def _least_string(n: int, masks: list[int], bound: int, stop_below: bool,
-                  twins: Optional[list[int]] = None, start: Sequence[int] = ()) -> int:
-    """The least bitstring over the orderings that begin with the vertices of
-    start (fewer than n of them), or bound if none is smaller.  A nonempty
-    start must tie with bound: its string is bound's first C(len(start), 2)
-    bits.
+                  twins: Optional[list[int]] = None, start: Optional[tuple] = None,
+                  ties: Optional[list] = None) -> int:
+    """The least bitstring over the orderings of the graph given by masks, or
+    bound if none is smaller.  twins, if given, are the graph's twin masks.
 
     With stop_below, returns as soon as some prefix falls below bound's, with
-    a value below bound that need not be a bitstring of the graph.  twins, if
-    given, are the graph's twin masks.
+    a value below bound that need not be a bitstring of the graph.
+
+    With start, a node (depth, unplaced, cells, placed) of the walk of the
+    graph without its last vertex v, only the orderings that place v next
+    after the node count, and bound must tie with the node and v's block;
+    from depth 0, the orderings that put v in the leading independent set.
+
+    With ties, this is the walk of canonical_blocks: the graph is H, bound
+    is its minimal key, and entry u of masks holds above bit n the blocks
+    that see u.  ties starts with the leading-set start and every block; the
+    walk appends (node, the blocks that tie there) and returns the blocks it
+    does not refute (module docstring).
     """
     shift = _shifts(n)
     if twins is None:
         twins = _twin_masks(n, masks)
     best = bound
     made: dict[int, tuple[int, int, tuple[int, ...]]] = {}
+    columns: dict[int, list[int]] = {}
+    alive = ties[0][1] if ties else 0
 
     def cell_of(cell: int) -> tuple[int, int, tuple[int, ...]]:
         """(cell, its size, the bit slices of the number of neighbours each
@@ -196,11 +223,89 @@ def _least_string(n: int, masks: list[int], bound: int, stop_below: bool,
             made[cell] = cell, size, tuple(reversed(slices))
         return made[cell]
 
-    def descend(depth: int, prefix: int, unplaced: int, cells: list, placed: list) -> bool:
+    def split_by(cells: list, placed: list[int], seen: int) -> tuple[list, list[int]]:
+        """The cells and placed masks once a vertex with neighbour mask seen
+        is placed: each cell splits into (non-neighbours, neighbours), and
+        once every cell has one vertex their masks join the placed ones."""
+        split, whole = [], True  # whole: every cell is a singleton
+        for entry in cells:
+            cell = entry[0]
+            hit = cell & seen
+            if hit and hit != cell:
+                for part in (cell ^ hit, hit):
+                    if part & (part - 1):
+                        split.append(cell_of(part))
+                        whole = False
+                    else:  # a singleton holds its vertex's neighbour mask
+                        split.append((part, 1, masks[part.bit_length() - 1]))
+            else:
+                split.append(entry)
+                whole = whole and entry[1] == 1
+        if whole:
+            return [], [entry[2] for entry in split] + placed
+        return split, placed
+
+    def entering(u: int, entered: list[tuple[int, int]], active: int) -> int:
+        """The blocks of active that walk the subtree of u: a twin w's subtree,
+        entered before, held the same strings for the blocks that see both or
+        neither."""
+        x = masks[u] >> n
+        for w, through in entered:
+            if twins[u] >> w & 1:
+                active &= ~through | (x ^ masks[w] >> n)
+        if active:
+            entered.append((u, active))
+        return active
+
+    def versus(depth: int, unplaced: int, cells: list, placed: list[int], active: int) -> int:
+        """Hold v, placed at position depth, against bound's block there, or
+        against its own block b after a whole ordering (depth n), for the
+        blocks of active: drop the blocks below it from alive, append the node
+        and the blocks that tie to ties, and return those still alive."""
+        nonlocal alive
+        xs = []  # position k: the blocks whose v sees it, non-neighbours first over a cell
+        for cell, size, slices in cells:
+            if size == 1:
+                xs.append(slices >> n)
+                continue
+            if cell not in columns:
+                at_least = [-1] + [0] * size  # entry m: the blocks that see m or more of the cell
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    x = masks[low.bit_length() - 1] >> n
+                    for m in range(size, 0, -1):
+                        at_least[m] |= at_least[m - 1] & x
+                columns[cell] = at_least[:0:-1]
+            xs += columns[cell]
+        xs += [s >> n for s in placed]
+        if depth < n:  # bound's block at depth, a bit for every block alike
+            target = bound >> shift[depth]
+            ys = [-(target >> depth - 1 - k & 1) for k in range(depth)]
+        else:  # each block b itself: position k holds vertex k in the minimal key's ordering
+            ys = [m >> n for m in masks]
+        eq, below = active, 0
+        for x, y in zip(xs, ys):
+            below |= eq & y & ~x
+            eq &= ~(x ^ y)
+            if not eq:
+                break
+        alive &= ~below
+        if eq and depth < n:
+            ties.append(((depth, unplaced, cells, placed[:]), eq))
+        return active & alive
+
+    def descend(depth: int, prefix: int, unplaced: int, cells: list, placed: list,
+                active: int = 0) -> bool:
         """cells: the leading independent set's cells while one has two or
         more vertices, else empty; placed: the neighbour masks of the
-        positions after them."""
+        positions after them; active: the blocks of a walk."""
         nonlocal best
+        if active:
+            active = versus(depth, unplaced, cells, placed, active)
+            if not active or depth == n:
+                return False
         least, block = unplaced, 0
         for _, size, slices in cells:
             if size == 1:
@@ -233,43 +338,32 @@ def _least_string(n: int, masks: list[int], bound: int, stop_below: bool,
             return True
         if depth == n - 1:
             best = prefix  # a whole string, no greater than best
-            return False
-        tried = 0
+            if not active:
+                return False
+        tried, entered, sub = 0, [], 0
         while least:
             low = least & -least
             least ^= low
             u = low.bit_length() - 1
-            if twins[u] & tried:
+            if active:
+                sub = entering(u, entered, active & alive)
+                if not sub:
+                    continue
+            elif twins[u] & tried:
                 continue  # a twin's subtree already held the same strings
             tried |= low
-            seen, split, after = masks[u], cells, placed
-            if cells:
-                split, whole = [], True  # whole: every cell is a singleton
-                for entry in cells:
-                    cell = entry[0]
-                    hit = cell & seen
-                    if hit and hit != cell:  # non-neighbours first, then neighbours
-                        for part in (cell ^ hit, hit):
-                            if part & (part - 1):
-                                split.append(cell_of(part))
-                                whole = False
-                            else:  # a singleton holds its vertex's neighbour mask
-                                split.append((part, 1, masks[part.bit_length() - 1]))
-                    else:
-                        split.append(entry)
-                        whole = whole and entry[1] == 1
-                if whole:  # the cells' masks join the placed ones
-                    split, after = [], [entry[2] for entry in split] + placed
+            seen = masks[u]
+            split, after = split_by(cells, placed, seen) if cells else (cells, placed)
             after.append(seen)
-            stop = descend(depth + 1, prefix, unplaced ^ low, split, after)
+            stop = descend(depth + 1, prefix, unplaced ^ low, split, after, sub)
             after.pop()
             if stop:
                 return True
         return False
 
-    top, leading = 0, []  # the size of the largest independent sets found, and those sets
+    top, leading = 0, []  # the size of the largest independent sets found, and (set, blocks)
 
-    def independent(size: int, chosen: int, free: int, above: int) -> None:
+    def independent(size: int, chosen: int, free: int, above: int, active: int) -> None:
         """Extend chosen, an independent set of size vertices, by the vertices
         of free (those that miss it) in above (those past its last), keeping
         the largest maximal sets in leading."""
@@ -277,48 +371,61 @@ def _least_string(n: int, masks: list[int], bound: int, stop_below: bool,
         grow = free & above
         if size + grow.bit_count() < top:
             return  # too small to be maximum
-        tried = 0
+        tried, entered, sub = 0, [], 0
         while grow:
             low = grow & -grow
             grow ^= low
             u = low.bit_length() - 1
-            if twins[u] & tried:
+            if active:
+                sub = entering(u, entered, active)
+                if not sub:
+                    continue
+            elif twins[u] & tried:
                 continue  # a twin's subtree held the same sets, or only dead ends
             tried |= low
             rest = free & ~masks[u] & ~low
             if rest:
                 if rest >> u + 1:  # else chosen + u misses a vertex but can add none: a dead end
-                    independent(size + 1, chosen | low, rest, -(low << 1))
+                    independent(size + 1, chosen | low, rest, -(low << 1), sub)
             elif size + 1 >= top:
                 if size + 1 > top:
                     top = size + 1
                     leading.clear()
-                leading.append(chosen | low)
+                leading.append((chosen | low, sub))
 
     unplaced = (1 << n) - 1
-    if start:
-        for u in start:
-            unplaced ^= 1 << u
-        descend(len(start), bound >> shift[len(start) - 1], unplaced, [], [masks[u] for u in start])
-        return best
-    independent(0, 0, unplaced, -1)
-    if top == n:
+    if start is None:
+        independent(0, 0, unplaced, -1, alive)
+    else:
+        depth, rest, cells, placed = start
+        v = n - 1
+        if depth:
+            split, after = split_by(cells, placed, masks[v])
+            descend(depth + 1, bound >> shift[depth], rest, split, after + [masks[v]])
+            return best
+        independent(1, 1 << v, unplaced & ~masks[v] & ~(1 << v), -1, 0)
+        if not leading:  # v sees every vertex
+            top, leading = 1, [(1 << v, 0)]
+    if top == n and not ties:
         return 0
     if stop_below and best >> shift[top - 1]:
         return 0  # below bound's prefix
-    for chosen in leading:
+    for chosen, active in leading:
         u, w = (chosen & -chosen).bit_length() - 1, chosen.bit_length() - 1  # first, last
+        rest = unplaced ^ chosen
         if top == 1:
-            stop = descend(1, 0, unplaced ^ chosen, [], [masks[u]])
+            stop = descend(1, 0, rest, [], [masks[u]], active)
         elif top == 2:  # placed singly, in both orders unless u and w are twins
-            stop = descend(2, 0, unplaced ^ chosen, [], [masks[u], masks[w]])
-            if not stop and not twins[u] >> w & 1:
-                stop = descend(2, 0, unplaced ^ chosen, [], [masks[w], masks[u]])
+            stop = descend(2, 0, rest, [], [masks[u], masks[w]], active)
+            if twins[u] >> w & 1:  # in a walk, both orders for the blocks that see one of them
+                active &= (masks[u] ^ masks[w]) >> n
+            if not stop and (active or not twins[u] >> w & 1):
+                stop = descend(2, 0, rest, [], [masks[w], masks[u]], active)
         else:
-            stop = descend(top, 0, unplaced ^ chosen, [cell_of(chosen)], [])
+            stop = descend(top, 0, rest, [cell_of(chosen)], [], active)
         if stop:
             break
-    return best
+    return alive if ties else best
 
 
 def min_key(n: int, masks: list[int]) -> int:
@@ -341,117 +448,32 @@ def canonical_blocks(j: int, masks: list[int], key: int, blocks: Sequence[int],
 
     One walk of H's tied orderings serves every block (module docstring).
     """
+    if not blocks:
+        return []
     if twins is None:
         twins = _twin_masks(j, masks)
-    n, v = j + 1, j
-    want = [(key >> s) & ((1 << d) - 1) for d, s in enumerate(_shifts(j))]  # K's blocks
     sees = [0] * j  # bit i of entry u: block i sees u
     for i, b in enumerate(blocks):
         while b:
             low = b & -b
             b ^= low
             sees[j - low.bit_length()] |= 1 << i
-    alive = (1 << len(blocks)) - 1  # bit i: block i is not refuted yet
-    order: list[int] = []  # a tied ordering of some of H's vertices
-    placed: list[int] = []  # their neighbour masks
-    ties: list[tuple[list[int], int]] = []  # (a start that ties, the blocks it ties for)
+    ties: list = [((0, 0, [], []), (1 << len(blocks)) - 1)]  # v in the leading set: every block
+    alive = _least_string(j, [m | s << j for m, s in zip(masks, sees)], key, False, twins,
+                          ties=ties)
     extensions: dict[int, tuple[list[int], list[int]]] = {}  # block i: H+b_i's masks, twins
-
-    def refuted(i: int, start: list[int]) -> bool:
-        """True iff H+b_i has a string below its key that begins with start."""
-        b = blocks[i]
-        if i not in extensions:
-            ext = add_column(masks, b)
-            extensions[i] = ext, extension_twins(twins, ext)
-        ext, ext_twins = extensions[i]
-        new_key = (key << j) | b
-        return _least_string(n, ext, new_key, True, ext_twins, start) != new_key
-
-    def visit(depth: int, unplaced: int, active: int) -> None:
-        nonlocal alive
-        eq, below = active, 0  # v placed next: blocks tying with, falling below the key's
-        if depth == j:  # order is a whole tied ordering, and v's block is b itself
-            for k, u in enumerate(order):
-                x, y = sees[u], sees[k]
-                below |= eq & y & ~x
-                eq &= ~(x ^ y)
-                if not eq:
-                    break
-            alive &= ~below
-            return
-        target = want[depth]
-        for k, u in enumerate(order):
-            x = sees[u]
-            if target >> (depth - 1 - k) & 1:
-                below |= eq & ~x
-                eq &= x
-            else:
-                eq &= ~x
-            if not eq:
-                break
-        least, block = unplaced, 0  # H's least next block after order, and who gives it
-        for s in placed:
-            miss = least & ~s
-            if miss:
-                least, block = miss, block << 1
-            else:
-                block = (block << 1) | 1
-        if eq:
-            # after order + v, the least next block of H+b is block then one bit: 1 iff
-            # b sees every vertex in least
-            seen, rest = -1, least
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                seen &= sees[low.bit_length() - 1]
-            if depth + 1 == j:  # that block is the last, held against b itself
-                while eq:
-                    low = eq & -eq
-                    eq ^= low
-                    if (block << 1) | bool(seen & low) < blocks[low.bit_length() - 1]:
-                        below |= low
-            else:
-                after = want[depth + 1]
-                if block != after >> 1:
-                    if block < after >> 1:
-                        below |= eq
-                    eq = 0
-                elif after & 1:
-                    below |= eq & ~seen
-                    eq &= seen
-                else:
-                    eq &= ~seen
-        alive &= ~below
-        if eq:  # still a tie: search on from order + v in H+b, after the walk
-            ties.append((order + [v], eq))
-        if block != target:
-            return  # no vertex of H extends order to a tied ordering
-        entered: list[tuple[int, int]] = []  # (vertex, the blocks that entered its subtree)
-        while least:
-            low = least & -least
-            least ^= low
-            u = low.bit_length() - 1
-            sub = active & alive
-            t, x = twins[u], sees[u]
-            for w, through in entered:
-                if t >> w & 1:  # w's subtree held the same strings for the blocks
-                    sub &= ~through | (x ^ sees[w])  # that see both or neither
-            if not sub:
-                continue
-            entered.append((u, sub))
-            order.append(u)
-            placed.append(masks[u])
-            visit(depth + 1, unplaced ^ low, sub)
-            order.pop()
-            placed.pop()
-
-    visit(0, (1 << j) - 1, alive)
-    for start, tied in sorted(ties, key=lambda tie: -len(tie[0])):  # the short searches first
+    for start, tied in sorted(ties, key=lambda tie: -tie[0][0]):  # the short searches first
         tied &= alive
         while tied:
             low = tied & -tied
             tied ^= low
-            if refuted(low.bit_length() - 1, start):
+            i = low.bit_length() - 1
+            if i not in extensions:
+                ext = add_column(masks, blocks[i])
+                extensions[i] = ext, extension_twins(twins, ext)
+            ext, ext_twins = extensions[i]
+            new_key = (key << j) | blocks[i]
+            if _least_string(j + 1, ext, new_key, True, ext_twins, start) != new_key:
                 alive ^= low
     return [b for i, b in enumerate(blocks) if alive >> i & 1]
 

@@ -8,7 +8,8 @@ test: the column floor (a block below twice the previous block is never
 canonical), the edge-count window of a layer sweep, and the twin rule (a
 block that holds a twin of the prefix but not its later twin is never
 canonical).  The blocks that pass the rules are tested for canonicity
-together, one call per prefix (_canonical_blocks).
+together, one call per prefix (_canonical_blocks): in one walk of the
+prefix's tied orderings when there are enough of them, else one search each.
 
 A DS search is the same walk with a fourth rule, the interlacing cut: a
 prefix whose eigenvalue counts break Cauchy interlacing against the query's
@@ -29,7 +30,8 @@ from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Iterable, Optional
 
-from .canonical import canonical_blocks, extension_twins, is_min_key, min_key
+from .canonical import (CANONICAL_ORDER_CAP, canonical_blocks, extension_twins, is_min_key,
+                        min_key)
 from .cp import is_cp_graph
 from .errors import OrderCapError, ParameterError, SpecGraphError
 from .exact import berkowitz_charpoly, berkowitz_level, charpolys
@@ -39,15 +41,15 @@ from .polynomials import IntPolynomial, real_rooted_counts
 
 ENUMERATION_SOFT_CAP = 7
 ENUMERATION_HARD_CAP = 8
-DS_ORDER_CAP = 12
 _SHARD_BITS = 8
 # A prefix with this many candidate blocks or more tests them in one shared
-# search (canonical.canonical_blocks); fewer are tested one by one, since a
-# few blocks do not repay the shared search's setup.  In the order-8 census
-# 93% of the tests sit at prefixes with 8 blocks or more, and thresholds 2, 4
-# and 8 swept it equally fast (16 was slower).  The interlacing cut leaves the
-# perfbench DS walks at most 7 blocks at a prefix, and a threshold of 1 made
-# their verdicts 15-19% slower in-process.
+# walk (canonical.canonical_blocks); fewer are tested one by one, since each
+# block the walk keeps still costs a search of its own, with the new vertex
+# in the leading set.  In the order-8 census 93% of the tests sit at
+# prefixes with 8 blocks or more.  The interlacing cut leaves the perfbench
+# DS walks at most 7 blocks at a prefix, and a threshold of 1 made their 13
+# verdicts 24% slower in-process (medians of 5 processes, 37.6 against
+# 30.4 ms).
 SHARED_SEARCH_BLOCKS = 8
 
 _enum_cache: dict[int, tuple[Graph, ...]] = {}
@@ -101,7 +103,7 @@ def _canonical_blocks(j: int, masks: list[int], key: int, blocks: list[int],
     (key << j) | b is canonical, where key is the canonical bitstring of the
     prefix of order j given by masks, with twin masks twins.
 
-    SHARED_SEARCH_BLOCKS or more blocks share one search of the prefix's tied
+    SHARED_SEARCH_BLOCKS or more blocks share one walk of the prefix's tied
     orderings (canonical_blocks); fewer are tested one by one.
     """
     if len(blocks) >= SHARED_SEARCH_BLOCKS:
@@ -425,13 +427,13 @@ def is_ds(g: Graph, workers: int = 1) -> DsVerdict:
     are the whole layer, whose size must equal Polya's count
     (burnside_layer_counts).
 
-    Orders up to DS_ORDER_CAP are searched.  Past ENUMERATION_HARD_CAP a
+    Orders up to CANONICAL_ORDER_CAP are searched.  Past ENUMERATION_HARD_CAP a
     ResourceWarning names the layer's Polya count, the most classes the walk
     can reach.
     """
     n, e = g.order, g.edge_count
-    if not 1 <= n <= DS_ORDER_CAP:
-        raise OrderCapError(f"DS search supports 1 <= n <= {DS_ORDER_CAP}, got {n}")
+    if not 1 <= n <= CANONICAL_ORDER_CAP:
+        raise OrderCapError(f"DS search supports 1 <= n <= {CANONICAL_ORDER_CAP}, got {n}")
     check_workers(workers)
     if n > ENUMERATION_HARD_CAP:
         warnings.warn(

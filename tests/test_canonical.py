@@ -7,8 +7,7 @@ from specgraph import (Graph, OrderCapError, canonical_form, complement,
                        complete_graph, cycle_graph, disjoint_union, empty_graph,
                        is_isomorphic, path_graph, pyramid_graph, relabel,
                        star_graph)
-from specgraph.canonical import (_least_string, _twin_masks, canonical_blocks, extension_twins,
-                                 is_min_key, min_key)
+from specgraph.canonical import _twin_masks, canonical_blocks, extension_twins, is_min_key, min_key
 from specgraph.graphs import add_column, pair_count
 from specgraph.search import enumerate_graphs
 
@@ -83,13 +82,32 @@ def test_canonical_key_equals_brute_force_minimum(rng):
 
 
 def _singleton_path_minimum(n, masks):
-    """The least string from the searches that start at each single vertex:
-    they place one vertex at a time and never form the leading independent
-    cell."""
-    if n == 1:
-        return 0
-    every = (1 << pair_count(n)) - 1  # no string is above all ones
-    return min(_least_string(n, masks, every, False, start=(v,)) for v in range(n))
+    """The least string of a search that places one vertex at a time: it
+    expands the vertices with the least next block, skips a twin of a vertex
+    tried at the same depth, and never forms the leading independent cell."""
+    twins = _twin_masks(n, masks)
+    m = pair_count(n)
+    best = 1 << m  # above every string
+
+    def walk(order, string, unplaced):
+        nonlocal best
+        if not unplaced:
+            best = min(best, string)
+            return
+        blocks = {u: sum(1 << (len(order) - 1 - k) for k, w in enumerate(order) if masks[u] >> w & 1)
+                  for u in range(n) if unplaced >> u & 1}
+        least = min(blocks.values())
+        string = (string << len(order)) | least
+        if string > best >> (m - len(order) * (len(order) + 1) // 2):
+            return
+        tried = 0
+        for u, block in blocks.items():
+            if block == least and not twins[u] & tried:
+                tried |= 1 << u
+                walk(order + [u], string, unplaced ^ (1 << u))
+
+    walk([], 0, (1 << n) - 1)
+    return best
 
 
 def _assert_cell_search_matches_singleton_path(g, key=None):
@@ -189,9 +207,9 @@ def test_is_isomorphic_matches_brute_force(rng):
 
 def test_order_cap():
     with pytest.raises(OrderCapError):
-        canonical_form(empty_graph(11))
+        canonical_form(empty_graph(13))
     with pytest.raises(OrderCapError):
-        is_isomorphic(empty_graph(11), complete_graph(11))
+        is_isomorphic(empty_graph(13), complete_graph(13))
 
 
 def test_bitstring_view():
@@ -207,6 +225,15 @@ def _assert_shared_search_matches_one_test_per_block(h):
     blocks = range(1 << j)
     one_by_one = [b for b in blocks if is_min_key(j + 1, add_column(masks, b), (h.bits << j) | b)]
     assert canonical_blocks(j, masks, h.bits, blocks) == one_by_one, (j, h.bits)
+
+
+def _maximum_independent_sets(h):
+    """The maximum independent sets of h as vertex masks, by trying every set."""
+    masks = h.neighbor_masks()
+    sets = [s for s in range(1 << h.order)
+            if not any(s >> u & 1 and masks[u] & s for u in range(h.order))]
+    top = max(s.bit_count() for s in sets)
+    return [s for s in sets if s.bit_count() == top]
 
 
 def test_shared_search_matches_one_test_per_block_up_to_order_7():
@@ -237,6 +264,19 @@ def test_shared_search_matches_one_test_per_block_on_larger_prefixes(rng):
     prefixes += [Graph(8, bits) for bits in (
         27733, 27861, 297037, 305609, 305613, 305626, 305627, 871499, 880089, 880093,
         5048519, 5048779, 5073877, 5615181, 5616472, 5616604)]
+    # sparse prefixes, whose leading independent sets are largest: a matching
+    # plus isolated vertices, and a seeded prefix with a nonzero block that
+    # misses a whole maximum independent set
+    for n, k in ((9, 3), (10, 4)):
+        g = empty_graph(n - 2 * k)
+        for _ in range(k):
+            g = disjoint_union(path_graph(2), g)
+        prefixes.append(canonical_form(g).to_graph())
+    sparse = canonical_form(Graph.from_edges(9, rng.sample(
+        [(u, v) for v in range(9) for u in range(v)], 5))).to_graph()
+    seen = [add_column(sparse.neighbor_masks(), b)[9] for b in range(1, 1 << 9)]
+    assert any(not s & lead for s in seen for lead in _maximum_independent_sets(sparse))
+    prefixes.append(sparse)
     for h in prefixes:
         _assert_shared_search_matches_one_test_per_block(h)
 

@@ -88,6 +88,23 @@ def test_cospectral_subcommand(capsys):
     assert code == 0 and payload["cospectral"] and payload["isomorphic"]
 
 
+def test_cospectral_answers_isomorphic_through_order_12(capsys):
+    star = graph6_encode(star_graph(11))
+    payload = json.loads(run_cli(capsys, "cospectral", star, star)[1])
+    assert payload["isomorphic"] is True
+    star = graph6_encode(star_graph(12))
+    assert json.loads(run_cli(capsys, "cospectral", star, star)[1])["isomorphic"] is None
+
+
+def test_charpoly_reaches_order_64_in_long_form_graph6(capsys):
+    code, out = run_cli(capsys, "charpoly", "--complete", "64")
+    payload = json.loads(out)
+    assert code == 0 and payload["order"] == 64 and payload["graph6"].startswith("~")
+    assert graph6_decode(payload["graph6"]).edge_count == 2016
+    code, out = run_cli(capsys, "charpoly", "--complete", "65")
+    assert code == 1 and json.loads(out)["error"]["type"] == "OrderCapError"
+
+
 def test_ds_composes_with_family(capsys):
     _, star_line = run_cli(capsys, "family", "--star", "4")
     code, out = run_cli(capsys, "ds", star_line.strip())

@@ -1,5 +1,7 @@
 """graph6 codec against the published format and a reference implementation."""
 
+from types import SimpleNamespace
+
 import networkx as nx
 import pytest
 
@@ -33,15 +35,28 @@ def test_roundtrip_random_orders_up_to_ten(rng):
 
 
 def test_matches_networkx(rng):
-    for _ in range(60):
-        g = random_graph(rng, rng.randint(1, 12))
+    # orders 63 and 64 take the long form: "~" and the order in 18 bits
+    for n in [rng.randint(1, 12) for _ in range(60)] + [63, 64]:
+        g = random_graph(rng, n)
         ours = graph6_encode(g)
         ref = nx.Graph()
         ref.add_nodes_from(range(g.order))
         ref.add_edges_from(g.edges())
         assert ours == nx.to_graph6_bytes(ref, header=False).decode().strip()
+        assert graph6_decode(ours) == g
         back = nx.from_graph6_bytes(ours.encode())
         assert set(back.edges()) == {tuple(e) for e in g.edges()}
+
+
+def test_random_strings_raise_only_graph6_errors(rng):
+    alphabet = [chr(c) for c in range(60, 128)]
+    for _ in range(3000):
+        text = rng.choice(["", "~", "~?", "~~"]) + "".join(
+            rng.choice(alphabet) for _ in range(rng.randint(0, 10)))
+        try:
+            graph6_decode(text)
+        except Graph6Error:
+            pass
 
 
 def test_malformed_inputs():
@@ -56,7 +71,11 @@ def test_malformed_inputs():
     with pytest.raises(Graph6Error):
         graph6_decode("Aé")  # not ascii
     with pytest.raises(Graph6Error):
-        graph6_decode("~??")  # long form marker
+        graph6_decode("~??")  # long form with two of its three order bytes
+    with pytest.raises(Graph6Error):
+        graph6_decode("~???")  # long form of an order below 63
+    with pytest.raises(Graph6Error):
+        graph6_decode("~~??????")  # the 36-bit form
 
 
 def test_trailing_padding_must_be_zero():
@@ -66,8 +85,12 @@ def test_trailing_padding_must_be_zero():
 
 
 def test_encode_order_cap():
+    # order 63 takes the long form; past 258047 the 36-bit form would be
+    # needed, and a Graph that large is not built here
+    assert graph6_encode(empty_graph(63)) == "~??~" + "?" * 326
+    assert graph6_encode(empty_graph(64)).startswith("~?@?")
     with pytest.raises(ParameterError):
-        graph6_encode(empty_graph(63))
+        graph6_encode(SimpleNamespace(order=258048, bits=0))
 
 
 def test_dot_output():
