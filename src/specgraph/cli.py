@@ -159,7 +159,7 @@ def _cmd_cospectral(args) -> int:
 
 def _cmd_ds(args) -> int:
     g, _ = _resolve_graph(args)
-    _emit(is_ds(g, workers=args.workers).to_json(), args.format)
+    _emit(is_ds(g).to_json(), args.format)
     return 0
 
 
@@ -172,12 +172,12 @@ def _cmd_cp(args) -> int:
 def _cmd_enumerate(args) -> int:
     report = cospectral_classes(args.order, workers=args.workers)
     if args.csv:
-        _write_census_csv(args.csv, report, args.workers)
+        _write_census_csv(args.csv, report)
     _emit(report.to_json(), args.format)
     return 0
 
 
-def _write_census_csv(path: str, report: EnumerationReport, workers: int) -> None:
+def _write_census_csv(path: str, report: EnumerationReport) -> None:
     """One row per graph; a graph is DS iff its charpoly class has one member."""
     import csv
 
@@ -186,7 +186,7 @@ def _write_census_csv(path: str, report: EnumerationReport, workers: int) -> Non
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["graph6", "charpoly", "is_ds", "is_cp"])
-            graphs = enumerate_graphs(report.order, workers=workers)
+            graphs = enumerate_graphs(report.order)  # cached by cospectral_classes
             for g, coeffs in zip(graphs, charpolys(graphs)):
                 writer.writerow([
                     graph6_encode(g),
@@ -199,7 +199,7 @@ def _write_census_csv(path: str, report: EnumerationReport, workers: int) -> Non
 
 
 def _cmd_nu(args) -> int:
-    result = smallest_non_cp_non_ds_order(args.cap, workers=args.workers)
+    result = smallest_non_cp_non_ds_order(args.cap)
     if result is None:
         payload = {"cap": args.cap, "nu": None, "witness": None}
     else:
@@ -209,7 +209,7 @@ def _cmd_nu(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify_mod.run_all(workers=args.workers)
+    results = verify_mod.run_all()
     if args.format == "json":
         _emit_json({"checks": [
             {"name": r.name, "passed": r.passed, "detail": r.detail,
@@ -238,13 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "of small graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, graph_input=True, workers=False, formats=("json", "table")):
+    def common(p, graph_input=True, formats=("json", "table")):
         if graph_input:
             p.add_argument("graph6", nargs="?", default=None,
                            help="graph6 string (or use a family flag)")
             _add_family_flags(p)
-        if workers:
-            p.add_argument("--workers", type=int, default=1)
         p.add_argument("--format", choices=formats, default=formats[0])
 
     p = sub.add_parser("family", help="emit a named family member as graph6")
@@ -267,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cospectral)
 
     p = sub.add_parser("ds", help="determined-by-spectrum verdict (exhaustive)")
-    common(p, workers=True)
+    common(p)
     p.set_defaults(func=_cmd_ds)
 
     p = sub.add_parser("cp", help="complete-positivity verdict")
@@ -287,12 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nu", help="smallest order that is neither CP nor DS")
     p.add_argument("--cap", type=int, default=7)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=_cmd_nu)
 
     p = sub.add_parser("verify", help="run the full acceptance suite")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=_cmd_verify)
 

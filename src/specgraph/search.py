@@ -16,10 +16,11 @@ prefix whose eigenvalue counts break Cauchy interlacing against the query's
 spectrum has no extension cospectral with the query, so it is dropped before
 its canonicity test (see _InterlacingCut).
 
-A sequential sweep is one walk.  With a worker pool the sweep is cut into 256
-independent work units keyed by the top byte of the bitstring; each unit
-re-walks the prefixes above its byte.  Units are side-effect free, and their
-outputs, concatenated in ascending top byte, equal the one walk's.
+A DS search is always one walk.  A census sweep is one walk too, or, with a
+worker pool, 256 independent work units keyed by the top byte of the
+bitstring; each unit re-walks the prefixes above its byte.  Units are
+side-effect free, and their outputs, concatenated in ascending top byte,
+equal the one walk's.
 """
 
 from __future__ import annotations
@@ -56,17 +57,15 @@ _enum_cache: dict[int, tuple[Graph, ...]] = {}
 _class_cache: dict[int, "EnumerationReport"] = {}
 
 
-def check_workers(workers: int) -> None:
-    """Refuse a worker count below 1 rather than running with one worker."""
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
-
-
 def _check_enumeration_args(n: int, workers: int) -> None:
+    """Refuse an order past the cap, and a worker count below 1 or above the
+    256 work units, rather than running with another."""
     if not 1 <= n <= ENUMERATION_HARD_CAP:
         raise OrderCapError(
             f"enumeration supports 1 <= n <= {ENUMERATION_HARD_CAP}, got {n}")
-    check_workers(workers)
+    if not 1 <= workers <= 1 << _SHARD_BITS:
+        raise ParameterError(
+            f"workers must be >= 1 and <= {1 << _SHARD_BITS}, got {workers}")
 
 
 def _shard_slice(shard: Optional[int], length: int, width: int) -> Optional[tuple[int, int]]:
@@ -194,12 +193,11 @@ class _InterlacingCut:
         return prefix.coeffs
 
 
-def _enumerate_shard(args: tuple[int, Optional[int], Optional[int], Optional[_InterlacingCut]]
-                     ) -> tuple[list[int], Optional[_InterlacingCut]]:
+def _enumerate_shard(n: int, shard: Optional[int], edges: Optional[int],
+                     cut: Optional[_InterlacingCut]) -> list[int]:
     """All canonical bitstrings of order n, ascending; with a shard set, only
-    those whose top byte matches it; with a cut set, only those whose every
-    prefix the cut admits.  Returns the bitstrings and the cut, which carries
-    its counts back from a pool worker.
+    those whose top byte matches it (a census pool's work unit); with a cut
+    set, only those whose every prefix the cut admits, counted on the cut.
 
     The column floor bounds each block from below.  Let prev be the block of
     the prefix's last vertex j-1, and b the block of the new vertex j.
@@ -229,9 +227,8 @@ def _enumerate_shard(args: tuple[int, Optional[int], Optional[int], Optional[_In
     [0], and a child's come from its parent's by extension_twins, so the twin
     rule and the canonicity test share them.
     """
-    n, shard, edges, cut = args
     if n == 1:
-        return [0], cut  # edges, if set, is 0: the callers check its range
+        return [0]  # edges, if set, is 0: the callers check its range
     m = pair_count(n)
     out: list[int] = []
 
@@ -273,22 +270,7 @@ def _enumerate_shard(args: tuple[int, Optional[int], Optional[int], Optional[_In
                    child)
 
     extend(1, 0, [0], [0], 0, None if cut is None else cut.root())
-    return out, cut
-
-
-def _walk(n: int, workers: int, edges: Optional[int], cut: Optional[_InterlacingCut]
-          ) -> tuple[list[int], list[_InterlacingCut]]:
-    """The canonical bitstrings of _enumerate_shard, ascending, in one walk or
-    over a pool's shards, and the cut of each unit, with its counts."""
-    if workers == 1 or pair_count(n) < _SHARD_BITS:
-        units = [_enumerate_shard((n, None, edges, cut))]
-    else:
-        with Pool(workers) as pool:
-            # one shard per task: the low shards hold nearly all the work
-            units = pool.map(_enumerate_shard,
-                             [(n, s, edges, cut) for s in range(1 << _SHARD_BITS)],
-                             chunksize=1)
-    return [k for keys, _ in units for k in keys], [c for _, c in units if c is not None]
+    return out
 
 
 def enumerate_graphs(n: int, workers: int = 1,
@@ -316,7 +298,18 @@ def enumerate_graphs(n: int, workers: int = 1,
 
 
 def _enumerate(n: int, workers: int, edges: Optional[int]) -> tuple[Graph, ...]:
-    return tuple(Graph(n, k) for k in _walk(n, workers, edges, None)[0])
+    """The canonical graphs of _enumerate_shard, ascending, in one walk or
+    over a pool's 256 shards."""
+    if workers == 1 or pair_count(n) < _SHARD_BITS:
+        keys = _enumerate_shard(n, None, edges, None)
+    else:
+        with Pool(workers) as pool:
+            # one shard per task: the low shards hold nearly all the work
+            units = pool.starmap(_enumerate_shard,
+                                 [(n, s, edges, None) for s in range(1 << _SHARD_BITS)],
+                                 chunksize=1)
+        keys = [k for unit in units for k in unit]
+    return tuple(Graph(n, k) for k in keys)
 
 
 @dataclass(frozen=True)
@@ -365,7 +358,7 @@ def cospectral_classes(n: int, workers: int = 1) -> EnumerationReport:
 
 @dataclass(frozen=True)
 class DsStats:
-    """The work of one DS search, summed over its units."""
+    """The work of one DS search, counted on its walk's interlacing cut."""
 
     canonicity_tests: int
     prefixes_cut: int
@@ -408,7 +401,7 @@ def _integer_eigenvalue_bounds(g: Graph, poly: IntPolynomial) -> tuple[tuple[int
     return tuple(out)
 
 
-def is_ds(g: Graph, workers: int = 1) -> DsVerdict:
+def is_ds(g: Graph) -> DsVerdict:
     """Exhaustively search the graphs of g's order and edge count for cospectral mates.
 
     Cospectral graphs share the charpoly, hence its degree (the order) and
@@ -434,7 +427,6 @@ def is_ds(g: Graph, workers: int = 1) -> DsVerdict:
     n, e = g.order, g.edge_count
     if not 1 <= n <= CANONICAL_ORDER_CAP:
         raise OrderCapError(f"DS search supports 1 <= n <= {CANONICAL_ORDER_CAP}, got {n}")
-    check_workers(workers)
     if n > ENUMERATION_HARD_CAP:
         warnings.warn(
             f"a DS search at order {n} walks layer (n={n}, e={e}), which holds "
@@ -442,10 +434,10 @@ def is_ds(g: Graph, workers: int = 1) -> DsVerdict:
             "this can take a while", ResourceWarning, stacklevel=2)
     masks = g.neighbor_masks()
     poly = IntPolynomial(berkowitz_charpoly(masks))
-    keys, cuts = _walk(n, workers, e, _InterlacingCut(_integer_eigenvalue_bounds(g, poly)))
-    stats = DsStats(canonicity_tests=sum(c.tests for c in cuts),
-                    prefixes_cut=sum(c.cut for c in cuts), survivors=len(keys),
-                    berkowitz_levels=sum(c.levels for c in cuts))
+    cut = _InterlacingCut(_integer_eigenvalue_bounds(g, poly))
+    keys = _enumerate_shard(n, None, e, cut)
+    stats = DsStats(canonicity_tests=cut.tests, prefixes_cut=cut.cut, survivors=len(keys),
+                    berkowitz_levels=cut.levels)
     if not stats.prefixes_cut:
         expected = burnside_layer_counts(n)[e]
         if len(keys) != expected:
@@ -509,12 +501,12 @@ class NuSearchResult:
         }
 
 
-def smallest_non_cp_non_ds_order(cap: int, workers: int = 1) -> Optional[NuSearchResult]:
+def smallest_non_cp_non_ds_order(cap: int) -> Optional[NuSearchResult]:
     """Smallest order <= cap admitting a graph that is neither CP nor DS."""
     if not 1 <= cap <= ENUMERATION_SOFT_CAP:
         raise OrderCapError(f"cap must be in 1..{ENUMERATION_SOFT_CAP}")
     for order in range(1, cap + 1):
-        report = cospectral_classes(order, workers=workers)
+        report = cospectral_classes(order)
         for cls in report.nontrivial_classes:
             for idx, member in enumerate(cls):
                 verdict = is_cp_graph(member)

@@ -26,8 +26,8 @@ from .graphs import (Graph, book_graph, cycle_graph, disjoint_union, empty_graph
                      is_connected, pyramid_graph, star_graph)
 from .numeric import count_geq, eigenvalues, verify_interlacing
 from .rational import RationalMatrix, verify_schur_identities
-from .search import (burnside_graph_count, check_workers, cospectral_classes, enumerate_graphs,
-                     is_ds, smallest_non_cp_non_ds_order, star_cospectral_mate)
+from .search import (burnside_graph_count, cospectral_classes, enumerate_graphs, is_ds,
+                     smallest_non_cp_non_ds_order, star_cospectral_mate)
 
 # Regression fixtures: two 6-vertex adjacency matrices, the octahedron and the
 # octahedron with one edge removed.
@@ -89,7 +89,7 @@ def _count_triangles_direct(g: Graph) -> int:
 # criterion 1: pyramid charpoly equals its factored closed form, exactly
 # ---------------------------------------------------------------------------
 
-def check_pyramid_charpoly_factorization(workers: int = 1) -> CheckResult:
+def check_pyramid_charpoly_factorization() -> CheckResult:
     charpoly.cache_clear()  # honest timing even on a warm process
     start = time.monotonic()
     failures = []
@@ -112,7 +112,7 @@ def check_pyramid_charpoly_factorization(workers: int = 1) -> CheckResult:
 # criterion 2: book graph spectrum {(1 +- sqrt(8n-15))/2, -1, 0^(n-3)}
 # ---------------------------------------------------------------------------
 
-def check_book_graph_spectrum(workers: int = 1) -> CheckResult:
+def check_book_graph_spectrum() -> CheckResult:
     failures = []
     for n in range(3, 31):
         root = math.sqrt(8 * n - 15)
@@ -130,7 +130,7 @@ def check_book_graph_spectrum(workers: int = 1) -> CheckResult:
 # criterion 3: constructive star mates; stars of prime index are DS
 # ---------------------------------------------------------------------------
 
-def check_star_cospectral_mates(workers: int = 1) -> CheckResult:
+def check_star_cospectral_mates() -> CheckResult:
     failures = []
     for n in range(4, 31):
         if search_mod._smallest_prime_factor(n) == n:
@@ -145,7 +145,7 @@ def check_star_cospectral_mates(workers: int = 1) -> CheckResult:
         if is_connected(mate) or not is_connected(star):
             failures.append(f"n={n}: connectivity certificate failed")
     for n in (2, 3, 5, 7):
-        verdict = is_ds(star_graph(n), workers=workers)
+        verdict = is_ds(star_graph(n))
         if not verdict.is_ds:
             failures.append(f"prime n={n}: exhaustive search found a mate")
         try:
@@ -161,12 +161,12 @@ def check_star_cospectral_mates(workers: int = 1) -> CheckResult:
 # criterion 4: order-5 census has exactly one nontrivial cospectral class
 # ---------------------------------------------------------------------------
 
-def check_order5_census(workers: int = 1) -> CheckResult:
+def check_order5_census() -> CheckResult:
     failures = []
     search_mod._class_cache.pop(5, None)
     search_mod._enum_cache.pop(5, None)
     start = time.monotonic()
-    report = cospectral_classes(5, workers=workers)
+    report = cospectral_classes(5)
     elapsed = time.monotonic() - start
     if len(report.nontrivial_classes) != 1:
         failures.append(f"expected 1 nontrivial class, got {len(report.nontrivial_classes)}")
@@ -177,7 +177,7 @@ def check_order5_census(workers: int = 1) -> CheckResult:
         if got != {star, c4k1}:
             failures.append("nontrivial class is not {star with 4 leaves, C4 + K1}")
     for n in range(1, 5):
-        if cospectral_classes(n, workers=workers).nontrivial_classes:
+        if cospectral_classes(n).nontrivial_classes:
             failures.append(f"order {n} unexpectedly has a nontrivial class")
     if elapsed >= 1.0:
         failures.append(f"runtime {elapsed:.2f}s exceeds 1s budget")
@@ -189,12 +189,12 @@ def check_order5_census(workers: int = 1) -> CheckResult:
 # criterion 5: smallest order that is neither CP nor DS is exactly 7
 # ---------------------------------------------------------------------------
 
-def check_nu_boundary(workers: int = 1) -> CheckResult:
+def check_nu_boundary() -> CheckResult:
     failures = []
-    below = smallest_non_cp_non_ds_order(6, workers=workers)
+    below = smallest_non_cp_non_ds_order(6)
     if below is not None:
         failures.append(f"cap 6 unexpectedly found order {below.order}")
-    result = smallest_non_cp_non_ds_order(7, workers=workers)
+    result = smallest_non_cp_non_ds_order(7)
     if result is None:
         failures.append("cap 7 found nothing")
     elif result.order != 7:
@@ -214,12 +214,12 @@ def check_nu_boundary(workers: int = 1) -> CheckResult:
 # criterion 6: every pyramid with 2 <= k < n <= 7 is DS by exhaustive search
 # ---------------------------------------------------------------------------
 
-def check_pyramid_ds(workers: int = 1) -> CheckResult:
+def check_pyramid_ds() -> CheckResult:
     failures = []
     count = 0
     for n in range(3, 8):
         for k in range(2, n):
-            verdict = is_ds(pyramid_graph(n, k), workers=workers)
+            verdict = is_ds(pyramid_graph(n, k))
             count += 1
             if not verdict.is_ds:
                 failures.append(f"(n={n}, k={k}) has {len(verdict.mates)} mates")
@@ -230,7 +230,7 @@ def check_pyramid_ds(workers: int = 1) -> CheckResult:
 # criterion 7: regression spectra of the two printed 6-vertex matrices
 # ---------------------------------------------------------------------------
 
-def check_octahedral_regressions(workers: int = 1) -> CheckResult:
+def check_octahedral_regressions() -> CheckResult:
     failures = []
     octa = sorted(eigenvalues(Graph.from_adjacency(OCTAHEDRON_ROWS)).values)
     expected = [-2.0, -2.0, 0.0, 0.0, 0.0, 4.0]
@@ -255,14 +255,14 @@ def check_octahedral_regressions(workers: int = 1) -> CheckResult:
 # criterion 8: CP classification suite
 # ---------------------------------------------------------------------------
 
-def check_cp_classification(workers: int = 1) -> CheckResult:
+def check_cp_classification() -> CheckResult:
     failures = []
     for n in range(1, 5):
-        for g in enumerate_graphs(n, workers=workers):
+        for g in enumerate_graphs(n):
             if not is_cp_graph(g).is_cp:
                 failures.append(f"order-{n} graph not CP")
     for n in range(1, 8):
-        for g in enumerate_graphs(n, workers=workers):
+        for g in enumerate_graphs(n):
             if is_bipartite(g) is not None and not is_cp_graph(g).is_cp:
                 failures.append(f"bipartite order-{n} graph not CP")
     for name, g in (("C5", cycle_graph(5)), ("B5", _cycle_with_chord(5)),
@@ -285,7 +285,7 @@ def check_cp_classification(workers: int = 1) -> CheckResult:
         failures.append("pyramid (4,3) = K4 must be CP (order below 5)")
     checked = 0
     for n in range(1, 8):
-        for g in enumerate_graphs(n, workers=workers):
+        for g in enumerate_graphs(n):
             if g.edge_count > 10:
                 continue
             checked += 1
@@ -299,11 +299,11 @@ def check_cp_classification(workers: int = 1) -> CheckResult:
 # criterion 9: edge/triangle counts recovered from the charpoly
 # ---------------------------------------------------------------------------
 
-def check_spectral_accounting(workers: int = 1) -> CheckResult:
+def check_spectral_accounting() -> CheckResult:
     failures = []
     count = 0
     for n in range(1, 7):
-        for g in enumerate_graphs(n, workers=workers):
+        for g in enumerate_graphs(n):
             edges, triangles = edges_and_triangles(charpoly(g))
             count += 1
             if edges != g.edge_count:
@@ -330,7 +330,7 @@ def _random_graph(rng: random.Random, n: int) -> Graph:
     return Graph(n, rng.getrandbits(m) if m else 0)
 
 
-def check_property_suites(workers: int = 1) -> CheckResult:
+def check_property_suites() -> CheckResult:
     failures = []
     rng = random.Random(20250808)
 
@@ -363,7 +363,7 @@ def check_property_suites(workers: int = 1) -> CheckResult:
 
     classes = 0
     for n in range(1, 8):
-        for cls in cospectral_classes(n, workers=workers).nontrivial_classes:
+        for cls in cospectral_classes(n).nontrivial_classes:
             classes += 1
             edges = {g.edge_count for g in cls}
             triangles = {_count_triangles_direct(g) for g in cls}
@@ -381,10 +381,10 @@ def check_property_suites(workers: int = 1) -> CheckResult:
 # criterion 11: enumeration counts against the orbit-counting oracle
 # ---------------------------------------------------------------------------
 
-def check_enumeration_counts(workers: int = 1) -> CheckResult:
+def check_enumeration_counts() -> CheckResult:
     failures = []
     for n in range(1, 8):
-        got = len(enumerate_graphs(n, workers=workers))
+        got = len(enumerate_graphs(n))
         oracle = burnside_graph_count(n)
         expected = EXPECTED_GRAPH_COUNTS[n]
         if got != expected:
@@ -395,7 +395,7 @@ def check_enumeration_counts(workers: int = 1) -> CheckResult:
                    "counts 1, 2, 4, 11, 34, 156, 1044 confirmed twice")
 
 
-ALL_CHECKS: tuple[tuple[str, Callable[[int], CheckResult]], ...] = (
+ALL_CHECKS: tuple[tuple[str, Callable[[], CheckResult]], ...] = (
     ("pyramid-charpoly-factorization", check_pyramid_charpoly_factorization),
     ("book-graph-spectrum", check_book_graph_spectrum),
     ("star-cospectral-mates", check_star_cospectral_mates),
@@ -410,14 +410,13 @@ ALL_CHECKS: tuple[tuple[str, Callable[[int], CheckResult]], ...] = (
 )
 
 
-def run_all(workers: int = 1) -> list[CheckResult]:
+def run_all() -> list[CheckResult]:
     """Run every check in order, each timed with its elapsed_s."""
-    check_workers(workers)
     results = []
     for name, check in ALL_CHECKS:
         start = time.perf_counter()
         try:
-            result = check(workers)
+            result = check()
         except Exception as exc:  # a crash counts as a failure, not a traceback
             result = CheckResult(name, False, f"error: {exc!r}")
         results.append(replace(result, elapsed_s=time.perf_counter() - start))

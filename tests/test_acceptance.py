@@ -10,7 +10,7 @@ from specgraph import verify
 
 
 def _run(check, name):
-    result = check(workers=1)
+    result = check()
     print(f"{'PASS' if result.passed else 'FAIL'} {name}: {result.detail}")
     assert result.passed, result.detail
     assert result.name == name

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from specgraph import (enumerate_graphs, graph6_decode, graph6_encode, is_ds,
-                       pyramid_graph, star_graph)
+                       pyramid_graph, search, star_graph)
 from specgraph.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -221,7 +221,7 @@ def test_table_format(capsys):
 def test_verify_json_reports_time_per_check(capsys, monkeypatch):
     from specgraph import verify
 
-    def crash(workers):
+    def crash():
         raise RuntimeError("boom")
 
     monkeypatch.setattr(verify, "ALL_CHECKS", (
@@ -261,9 +261,6 @@ def test_error_when_no_graph_given(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["enumerate", "3", "--workers", "-1"],
-    ["ds", "--star", "4", "--workers", "0"],
-    ["nu", "--cap", "3", "--workers", "0"],
-    ["verify", "--workers", "0"],
 ])
 def test_workers_below_one_is_an_error_object(capsys, argv):
     enumerate_graphs(3)  # a warm cache must not hide the bad count
@@ -271,6 +268,31 @@ def test_workers_below_one_is_an_error_object(capsys, argv):
     assert code == 1
     error = json.loads(out)["error"]
     assert error["type"] == "ParameterError" and "workers must be >= 1" in error["message"]
+
+
+def test_workers_above_the_work_units_is_an_error_object(capsys, monkeypatch):
+    def no_pool(workers):
+        raise AssertionError(f"a pool of {workers} was started")
+
+    monkeypatch.setattr(search, "Pool", no_pool)
+    enumerate_graphs(3)  # a warm cache must not hide the bad count
+    code, out = run_cli(capsys, "enumerate", "3", "--workers", "257")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParameterError" and "<= 256, got 257" in error["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ds", "--star", "4", "--workers", "2"],
+    ["nu", "--cap", "3", "--workers", "2"],
+    ["verify", "--workers", "2"],
+])
+def test_only_enumerate_takes_workers(capsys, argv):
+    # the DS searches are one walk each; a pool only adds work there
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
 def test_usage_error_exits_nonzero():
