@@ -16,10 +16,10 @@ from typing import Optional, Sequence
 
 from . import verify as verify_mod
 from .canonical import CANONICAL_ORDER_CAP, is_isomorphic
-from .cp import find_long_odd_cycle, is_cp_graph
-from .errors import SpecGraphError
-from .exact import (are_cospectral, charpoly, charpoly_pyramid_factored, charpolys,
-                    closed_form_spectrum)
+from .cp import LONG_ODD_CYCLE_ORDER_CAP, find_long_odd_cycle, is_cp_graph
+from .errors import OrderCapError, SpecGraphError
+from .exact import (CHARPOLY_ORDER_CAP, are_cospectral, charpoly, charpoly_pyramid_factored,
+                    charpolys, closed_form_spectrum)
 from .graph6 import graph6_decode, graph6_encode, to_dot
 from .graphs import FamilyKind, FamilySpec, Graph, make_family
 from .numeric import eigenvalues
@@ -82,11 +82,14 @@ def _family_spec_from_args(args) -> Optional[FamilySpec]:
     return None
 
 
-def _resolve_graph(args) -> tuple[Graph, Optional[FamilySpec]]:
+def _resolve_graph(args, cap: int) -> tuple[Graph, Optional[FamilySpec]]:
+    """The graph argument; a family member past the order cap is not built."""
     spec = _family_spec_from_args(args)
     if spec is not None:
         if getattr(args, "graph6", None):
             raise SpecGraphError("give either a graph6 string or a family flag, not both")
+        if spec.order > cap:
+            raise OrderCapError(f"{args.command} supports 1 <= n <= {cap}, got {spec.order}")
         return make_family(spec), spec
     g6 = getattr(args, "graph6", None)
     if not g6:
@@ -114,7 +117,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_charpoly(args) -> int:
-    g, spec = _resolve_graph(args)
+    g, spec = _resolve_graph(args, CHARPOLY_ORDER_CAP)
     payload = {
         "graph6": graph6_encode(g),
         "order": g.order,
@@ -127,7 +130,7 @@ def _cmd_charpoly(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    g, spec = _resolve_graph(args)
+    g, spec = _resolve_graph(args, CHARPOLY_ORDER_CAP)
     numeric = eigenvalues(g)
     payload = {
         "graph6": graph6_encode(g),
@@ -158,13 +161,13 @@ def _cmd_cospectral(args) -> int:
 
 
 def _cmd_ds(args) -> int:
-    g, _ = _resolve_graph(args)
+    g, _ = _resolve_graph(args, CANONICAL_ORDER_CAP)
     _emit(is_ds(g).to_json(), args.format)
     return 0
 
 
 def _cmd_cp(args) -> int:
-    g, _ = _resolve_graph(args)
+    g, _ = _resolve_graph(args, LONG_ODD_CYCLE_ORDER_CAP)
     _emit(is_cp_graph(g).to_json(), args.format)
     return 0
 
@@ -224,7 +227,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_witness_cycle(args) -> int:
-    g, _ = _resolve_graph(args)
+    g, _ = _resolve_graph(args, LONG_ODD_CYCLE_ORDER_CAP)
     cycle = find_long_odd_cycle(g)
     _emit({"graph6": graph6_encode(g),
            "long_odd_cycle": list(cycle) if cycle else None}, args.format)

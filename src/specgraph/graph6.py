@@ -25,10 +25,11 @@ def graph6_encode(g: Graph) -> str:
     if g.order > GRAPH6_MAX_ORDER:
         raise ParameterError(f"graph6 encodes order <= {GRAPH6_MAX_ORDER} here")
     m = pair_count(g.order)
-    groups = -(-m // 6)  # ceil
-    padded = g.bits << (6 * groups - m)
+    width = -(-m // 6) * 6  # the bits padded to whole groups
+    # cut from one binary string (a shift per group is quadratic)
+    digits = bin(1 << width | g.bits << (width - m))[3:]
     head = [chr(g.order + 63)] if g.order < 63 else ["~"] + _groups(g.order, 3)
-    return "".join(head + _groups(padded, groups))
+    return "".join(head + [chr(int(digits[k:k + 6], 2) + 63) for k in range(0, width, 6)])
 
 
 def graph6_decode(text: str) -> Graph:

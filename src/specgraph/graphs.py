@@ -100,16 +100,16 @@ class Graph:
 
     @classmethod
     def from_edges(cls, order: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        m = pair_count(order)
-        bits = 0
+        # one digit per pair, first pair first (OR-ing in each edge is quadratic)
+        digits = bytearray(b"0") * pair_count(order)
         for u, v in edges:
             if u == v:
                 raise ParameterError(f"loop at vertex {u} not allowed")
             if not (0 <= u < order and 0 <= v < order):
                 raise ParameterError(f"edge ({u},{v}) out of range for order {order}")
             i, j = (u, v) if u < v else (v, u)
-            bits |= 1 << (m - 1 - pair_index(i, j))
-        return cls(order, bits)
+            digits[pair_index(i, j)] = 49  # "1"
+        return cls(order, int(digits or b"0", 2))
 
     @classmethod
     def from_adjacency(cls, rows: Sequence[Sequence[int]]) -> "Graph":
@@ -199,6 +199,15 @@ class FamilySpec:
         elif any(x < 1 for x in p):
             raise ParameterError(f"{kind.value} parameters must be >= 1")
 
+    @property
+    def order(self) -> int:
+        """The member's order, known before it is built."""
+        if self.kind is FamilyKind.STAR:
+            return self.params[0] + 1
+        if self.kind is FamilyKind.COMPLETE_BIPARTITE:
+            return sum(self.params)
+        return self.params[0]
+
 
 def complete_graph(n: int) -> Graph:
     return make_family(FamilySpec(FamilyKind.COMPLETE, (n,)))
@@ -236,29 +245,22 @@ def book_graph(n: int) -> Graph:
 
 
 def make_family(spec: FamilySpec) -> Graph:
-    kind, p = spec.kind, spec.params
+    # the edges are generated, not listed, so a large member builds no edge list
+    kind, p, n = spec.kind, spec.params, spec.order
     if kind is FamilyKind.COMPLETE:
-        n = p[0]
-        return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        return Graph(n, (1 << pair_count(n)) - 1)
     if kind is FamilyKind.EMPTY:
-        return Graph(p[0], 0)
+        return Graph(n, 0)
     if kind is FamilyKind.PATH:
-        n = p[0]
-        return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
     if kind is FamilyKind.CYCLE:
-        n = p[0]
-        return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+        return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
     if kind is FamilyKind.STAR:
-        n = p[0]
-        return Graph.from_edges(n + 1, [(0, i) for i in range(1, n + 1)])
+        return Graph.from_edges(n, ((0, i) for i in range(1, n)))
     if kind is FamilyKind.COMPLETE_BIPARTITE:
-        m, n = p
-        return Graph.from_edges(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+        return Graph.from_edges(n, ((i, j) for i in range(p[0]) for j in range(p[0], n)))
     if kind is FamilyKind.PYRAMID:
-        n, k = p
-        edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
-        edges += [(i, j) for i in range(k) for j in range(k, n)]
-        return Graph.from_edges(n, edges)
+        return Graph.from_edges(n, ((i, j) for i in range(p[1]) for j in range(i + 1, n)))
     raise ParameterError(f"unknown family kind {kind!r}")
 
 

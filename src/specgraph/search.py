@@ -17,10 +17,9 @@ spectrum has no extension cospectral with the query, so it is dropped before
 its canonicity test (see _InterlacingCut).
 
 A DS search is always one walk.  A census sweep is one walk too, or, with a
-worker pool, 256 independent work units keyed by the top byte of the
-bitstring; each unit re-walks the prefixes above its byte.  Units are
-side-effect free, and their outputs, concatenated in ascending top byte,
-equal the one walk's.
+worker pool, that walk split at a prefix order: each canonical prefix of the
+order roots a work unit.  The prefixes are ascending and their subtrees
+disjoint, so the units' outputs, concatenated, are the one walk's, test for test.
 """
 
 from __future__ import annotations
@@ -42,7 +41,9 @@ from .polynomials import IntPolynomial, real_rooted_counts
 
 ENUMERATION_SOFT_CAP = 7
 ENUMERATION_HARD_CAP = 8
-_SHARD_BITS = 8
+# The prefix order at which a pooled census splits into work units: at order
+# 8, splits at 4-6 (11-156 units) time alike, 3 and 7 slower (README).
+_SPLIT_ORDER = 5
 # A prefix with this many candidate blocks or more tests them in one shared
 # walk (canonical.canonical_blocks); fewer are tested one by one, since each
 # block the walk keeps still costs a search of its own, with the new vertex
@@ -58,36 +59,26 @@ _class_cache: dict[int, "EnumerationReport"] = {}
 
 
 def _check_enumeration_args(n: int, workers: int) -> None:
-    """Refuse an order past the cap, and a worker count below 1 or above the
-    256 work units, rather than running with another."""
+    """Refuse an order past the cap, and a worker count below 1 or above 256,
+    the bound on a census pool's processes, rather than running with another."""
     if not 1 <= n <= ENUMERATION_HARD_CAP:
         raise OrderCapError(
             f"enumeration supports 1 <= n <= {ENUMERATION_HARD_CAP}, got {n}")
-    if not 1 <= workers <= 1 << _SHARD_BITS:
-        raise ParameterError(
-            f"workers must be >= 1 and <= {1 << _SHARD_BITS}, got {workers}")
-
-
-def _shard_slice(shard: Optional[int], length: int, width: int) -> Optional[tuple[int, int]]:
-    """Constraint on a block of `width` bits starting at string offset `length`."""
-    if shard is None or length >= _SHARD_BITS:
-        return None
-    overlap = min(_SHARD_BITS, length + width) - length
-    required = (shard >> (_SHARD_BITS - length - overlap)) & ((1 << overlap) - 1)
-    return overlap, required
+    if not 1 <= workers <= 256:
+        raise ParameterError(f"workers must be >= 1 and <= 256, got {workers}")
 
 
 def _column_floor(j: int, key: int) -> int:
     """The least block worth testing for a new vertex after the prefix of
     order j with bitstring key: twice the last vertex's block, which is the
-    key's low j-1 bits (see _enumerate_shard)."""
+    key's low j-1 bits (see _walk)."""
     return (key & ((1 << (j - 1)) - 1)) << 1
 
 
 def _twin_rule(j: int, twins: list[int], blocks: Iterable[int]) -> Iterable[int]:
     """The blocks that the twin rule keeps for a new vertex after the prefix of
     order j with twin masks twins: for each twin pair u < w of the prefix, a
-    kept block that holds u also holds w (see _enumerate_shard)."""
+    kept block that holds u also holds w (see _walk)."""
     # (the pair's two bits, u's bit) for each twin pair u < w; bit j-1-i is vertex i
     rules = [((1 << (j - 1 - u)) | (1 << (j - 1 - w)), 1 << (j - 1 - u))
              for w in range(j) for u in range(w) if twins[w] >> u & 1]
@@ -193,11 +184,15 @@ class _InterlacingCut:
         return prefix.coeffs
 
 
-def _enumerate_shard(n: int, shard: Optional[int], edges: Optional[int],
-                     cut: Optional[_InterlacingCut]) -> list[int]:
-    """All canonical bitstrings of order n, ascending; with a shard set, only
-    those whose top byte matches it (a census pool's work unit); with a cut
-    set, only those whose every prefix the cut admits, counted on the cut.
+def _walk(n: int, edges: Optional[int] = None, cut: Optional[_InterlacingCut] = None,
+          split: Optional[int] = None, root: tuple = (1, 0, [0], [0])) -> list:
+    """All canonical bitstrings of order n, ascending, below the prefix state
+    root; with a cut set, only those whose every prefix the cut admits,
+    counted on the cut.  A state (j, key, masks, twins) is a canonical
+    prefix's order, bitstring, neighbour and twin masks; the default root is
+    the one-vertex prefix.  With split set, the walk returns the states of
+    order min(split, n) instead, ascending: a pooled census's work units.  A
+    cut walk is neither split nor rooted elsewhere.
 
     The column floor bounds each block from below.  Let prev be the block of
     the prefix's last vertex j-1, and b the block of the new vertex j.
@@ -227,31 +222,24 @@ def _enumerate_shard(n: int, shard: Optional[int], edges: Optional[int],
     [0], and a child's come from its parent's by extension_twins, so the twin
     rule and the canonicity test share them.
     """
-    if n == 1:
-        return [0]  # edges, if set, is 0: the callers check its range
     m = pair_count(n)
-    out: list[int] = []
+    out: list = []
 
     if edges is None:
-        def blocks(j: int, key: int, length: int) -> Iterable[int]:
+        def blocks(j: int, key: int) -> Iterable[int]:
             return range(_column_floor(j, key), 1 << j)
     else:
-        def blocks(j: int, key: int, length: int) -> Iterable[int]:
+        def blocks(j: int, key: int) -> Iterable[int]:
             most = edges - key.bit_count()
-            least = most - (m - length - j)
+            least = most - (m - pair_count(j + 1))
             return [b for b in range(_column_floor(j, key), 1 << j)
                     if least <= b.bit_count() <= most]
 
-    def extend(j: int, key: int, masks: list[int], twins: list[int], length: int,
+    def extend(j: int, key: int, masks: list[int], twins: list[int],
                prefix: Optional[_Prefix]) -> None:
-        constraint = _shard_slice(shard, length, j)
         tested = []
         children = {}
-        for b in _twin_rule(j, twins, blocks(j, key, length)):
-            if constraint is not None:
-                overlap, required = constraint
-                if (b >> (j - overlap)) != required:
-                    continue
+        for b in _twin_rule(j, twins, blocks(j, key)):
             if cut is not None:
                 child = cut.admit(prefix, add_column(masks, b))
                 if child is None:
@@ -261,15 +249,20 @@ def _enumerate_shard(n: int, shard: Optional[int], edges: Optional[int],
         # no extension of a non-canonical prefix is canonical
         for b in _canonical_blocks(j, masks, key, tested, twins):
             new_key = (key << j) | b
-            if j + 1 == n:
+            if j + 1 == n and split is None:
                 out.append(new_key)
                 continue
             child = children.get(b)
             new_masks = add_column(masks, b) if child is None else child.masks
-            extend(j + 1, new_key, new_masks, extension_twins(twins, new_masks), length + j,
-                   child)
+            state = (j + 1, new_key, new_masks, extension_twins(twins, new_masks))
+            if j + 1 in (split, n):
+                out.append(state)
+            else:
+                extend(*state, child)
 
-    extend(1, 0, [0], [0], 0, None if cut is None else cut.root())
+    if root[0] == n:  # order 1 (edges, if set, is 0: the callers check it), or a unit
+        return [root[1] if split is None else root]
+    extend(*root, None if cut is None else cut.root())
     return out
 
 
@@ -298,16 +291,15 @@ def enumerate_graphs(n: int, workers: int = 1,
 
 
 def _enumerate(n: int, workers: int, edges: Optional[int]) -> tuple[Graph, ...]:
-    """The canonical graphs of _enumerate_shard, ascending, in one walk or
-    over a pool's 256 shards."""
-    if workers == 1 or pair_count(n) < _SHARD_BITS:
-        keys = _enumerate_shard(n, None, edges, None)
+    """The canonical graphs of _walk, ascending: one walk, or the walk split
+    at _SPLIT_ORDER with its units run on a pool of at most one process each."""
+    if workers == 1:
+        keys = _walk(n, edges)
     else:
-        with Pool(workers) as pool:
-            # one shard per task: the low shards hold nearly all the work
-            units = pool.starmap(_enumerate_shard,
-                                 [(n, s, edges, None) for s in range(1 << _SHARD_BITS)],
-                                 chunksize=1)
+        frontier = _walk(n, edges, split=_SPLIT_ORDER)
+        with Pool(min(workers, len(frontier))) as pool:
+            # one unit per task: the units' sizes differ widely
+            units = pool.starmap(_walk, [(n, edges, None, None, s) for s in frontier], chunksize=1)
         keys = [k for unit in units for k in unit]
     return tuple(Graph(n, k) for k in keys)
 
@@ -435,7 +427,7 @@ def is_ds(g: Graph) -> DsVerdict:
     masks = g.neighbor_masks()
     poly = IntPolynomial(berkowitz_charpoly(masks))
     cut = _InterlacingCut(_integer_eigenvalue_bounds(g, poly))
-    keys = _enumerate_shard(n, None, e, cut)
+    keys = _walk(n, e, cut)
     stats = DsStats(canonicity_tests=cut.tests, prefixes_cut=cut.cut, survivors=len(keys),
                     berkowitz_levels=cut.levels)
     if not stats.prefixes_cut:

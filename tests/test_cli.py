@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from specgraph import (enumerate_graphs, graph6_decode, graph6_encode, is_ds,
+from specgraph import (cli, enumerate_graphs, graph6_decode, graph6_encode, is_ds,
                        pyramid_graph, search, star_graph)
 from specgraph.cli import main
 
@@ -103,6 +103,32 @@ def test_charpoly_reaches_order_64_in_long_form_graph6(capsys):
     assert graph6_decode(payload["graph6"]).edge_count == 2016
     code, out = run_cli(capsys, "charpoly", "--complete", "65")
     assert code == 1 and json.loads(out)["error"]["type"] == "OrderCapError"
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["charpoly", "--complete", "100000"], 64),
+    (["spectrum", "--complete", "1500"], 64),
+    (["spectrum", "--complete-bipartite", "40", "25"], 64),
+    (["ds", "--pyramid", "13", "4"], 12),
+    (["cp", "--star", "12"], 12),
+    (["cycle", "--path", "3000"], 12),
+])
+def test_a_family_past_the_order_cap_is_refused_before_it_is_built(capsys, monkeypatch,
+                                                                    argv, cap):
+    def no_build(spec):
+        raise AssertionError(f"{spec} was built")
+
+    monkeypatch.setattr(cli, "make_family", no_build)
+    code, out = run_cli(capsys, *argv)
+    error = json.loads(out)["error"]
+    assert code == 1 and error["type"] == "OrderCapError"
+    assert f"{argv[0]} supports 1 <= n <= {cap}, got " in error["message"]
+
+
+def test_family_builds_and_encodes_a_large_member(capsys):
+    # K_3000: 4,498,500 edges, all ones in 749,750 groups of six
+    code, out = run_cli(capsys, "family", "--complete", "3000")
+    assert code == 0 and out == "~?mw" + "~" * 749750 + "\n"
 
 
 def test_ds_composes_with_family(capsys):

@@ -48,6 +48,47 @@ def test_family_edge_counts():
         assert pyramid_graph(n, k).edge_count == k * (k - 1) // 2 + k * (n - k)
 
 
+def _bits_one_edge_at_a_time(order, edges):
+    """The reference construction: each edge's bit OR-ed into the bitstring."""
+    m = pair_count(order)
+    bits = 0
+    for u, v in edges:
+        i, j = sorted((u, v))
+        bits |= 1 << (m - 1 - (j * (j - 1) // 2 + i))
+    return bits
+
+
+def test_from_edges_matches_one_edge_at_a_time(rng):
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        # both orientations of a pair, so some edges come twice
+        edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+        assert Graph.from_edges(n, edges).bits == _bits_one_edge_at_a_time(n, edges)
+        assert Graph.from_edges(n, iter(edges)).bits == _bits_one_edge_at_a_time(n, edges)
+
+
+def test_family_members_match_their_edge_lists_and_orders():
+    for n in range(1, 25):
+        members = [
+            (FamilyKind.COMPLETE, (n,), n, [(i, j) for i in range(n) for j in range(i + 1, n)]),
+            (FamilyKind.EMPTY, (n,), n, []),
+            (FamilyKind.PATH, (n,), n, [(i, i + 1) for i in range(n - 1)]),
+            (FamilyKind.STAR, (n,), n + 1, [(0, i) for i in range(1, n + 1)]),
+        ]
+        if n >= 3:
+            members.append((FamilyKind.CYCLE, (n,), n, [(i, (i + 1) % n) for i in range(n)]))
+        members += [(FamilyKind.COMPLETE_BIPARTITE, (n, b), n + b,
+                     [(i, n + j) for i in range(n) for j in range(b)]) for b in (1, 2, 5)]
+        members += [(FamilyKind.PYRAMID, (n, k), n,
+                     [(i, j) for i in range(k) for j in range(i + 1, k)]
+                     + [(i, j) for i in range(k) for j in range(k, n)]) for k in range(1, n)]
+        for kind, params, order, edges in members:
+            spec = FamilySpec(kind, params)
+            assert spec.order == order
+            assert make_family(spec) == Graph(order, _bits_one_edge_at_a_time(order, edges))
+
+
 def test_star_equals_pyramid_with_singleton_base():
     assert star_graph(4) == pyramid_graph(5, 1)
     assert is_isomorphic(star_graph(6), pyramid_graph(7, 1))

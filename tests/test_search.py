@@ -147,8 +147,9 @@ def test_enumeration_caps():
         enumerate_graphs(0)
 
 
-def test_workers_shard_merge_equals_single_worker(monkeypatch):
-    # workers=1 is one walk; workers=2 concatenates the 256 top-byte shards
+def test_pooled_census_equals_single_worker(monkeypatch):
+    # workers=1 is one walk; workers=2 walks the subtrees of the canonical
+    # prefixes of order _SPLIT_ORDER on a process pool and concatenates them
     single = enumerate_graphs(5)
     search._enum_cache.pop(5, None)
     multi = enumerate_graphs(5, workers=2)
@@ -162,6 +163,55 @@ def test_workers_shard_merge_equals_single_worker(monkeypatch):
     with pytest.warns(ResourceWarning):
         single8 = enumerate_graphs(8)
     assert search._enumerate(8, 2, None) == single8
+
+
+def _serial_pool(monkeypatch) -> list:
+    """Run the census pool's units in this process, in order; the list
+    returned collects the process count of each pool asked for."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, args, chunksize=None):
+            assert chunksize == 1
+            return [func(*a) for a in args]
+
+    monkeypatch.setattr(search, "Pool", SerialPool)
+    return sizes
+
+
+def test_split_walk_equals_one_walk_at_every_split_order(monkeypatch):
+    # every census and layer of orders <= 7, split at every order, is the one walk
+    sizes = _serial_pool(monkeypatch)
+    for n in range(1, 8):
+        for edges in [None, *range(pair_count(n) + 1)]:
+            one = search._enumerate(n, 1, edges)
+            for split in range(1, n + 1):
+                monkeypatch.setattr(search, "_SPLIT_ORDER", split)
+                assert search._enumerate(n, 2, edges) == one, (n, edges, split)
+    # a pool starts no more processes than there are units
+    monkeypatch.setattr(search, "_SPLIT_ORDER", 3)
+    sizes.clear()
+    search._enumerate(5, 256, None)
+    assert sizes == [len(enumerate_graphs(3))]
+
+
+def test_pooled_order8_census_repeats_no_canonicity_test(monkeypatch):
+    # the units' subtrees are disjoint: together they make the one walk's tests
+    _serial_pool(monkeypatch)
+    calls = _count_canonicity_tests(monkeypatch)
+    bits = [g.bits for g in search._enumerate(8, 2, None)]
+    assert len(calls) == 21973
+    assert bits == sorted(bits)
+    assert _census_digest(Graph(8, b) for b in bits) == CENSUS_SHA256[8]
 
 
 def test_twin_rule_skips_only_non_canonical_blocks():
@@ -208,7 +258,7 @@ def _refuse_key(monkeypatch, lost):
 
 
 def test_canonicity_test_counts_are_pinned(monkeypatch):
-    # a sweep that re-shards or stops skipping blocks changes these counts
+    # a sweep that repeats a test or stops skipping blocks changes these counts
     calls = _count_canonicity_tests(monkeypatch)
     _cold_caches(monkeypatch)
     assert len(enumerate_graphs(7)) == 1044
