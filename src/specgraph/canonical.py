@@ -64,10 +64,20 @@ included: each stands for the orderings of H's first vertices that its cells
 allow, all with K's prefix.  Any ordering of H+b puts v at some position p,
 and only an ordering whose string is at most K' matters.
 
-- p < a, the size of H's largest independent sets.  K' begins with C(a, 2)
-  zeros, so the first a vertices are independent and hold v: a leading set
+- p < a, the size of H's largest independent sets: the depth of K's first
+  nonzero block, or j if K has none.  K' begins with C(a, 2) zeros, as K
+  does, so the first a vertices are independent and hold v: a leading set
   of H+b that holds v.  One search of H+b whose leading sets must hold v
-  covers them (a start of depth 0).
+  covers them (a start of depth 0).  It can refute b only if v lies in an
+  independent a-set of H+b.  Otherwise every maximal independent set
+  through v has fewer than a vertices, and an ordering that starts with one
+  has a 1 in its next block, at a depth where K' still has zeros.  So the
+  search runs only for the blocks that miss some independent (a - 1)-set
+  of H (every block if a = 1).  That keeps a block whose v misses a whole
+  independent a-set S of H, so that S plus v is independent: every
+  (a - 1)-subset of S misses v's neighbours.  The blocks kept are those
+  whose v lies in a maximum independent set of H+b, as an independent
+  (a + 1)-set of H+b must hold v.
 - p >= a.  The first p vertices form an ordering s of vertices of H, whose
   string is at least K's first C(p, 2) bits because H is canonical, and if
   greater the whole string is greater than K'.  So s ties, and it begins
@@ -95,7 +105,11 @@ and a refuted block drops out of the walk.  Over a cell the bit at position
 r holds the blocks that see at least c - r of it, counted once per cell.
 The ties wait until the walk ends and are searched longest start first, the
 leading-set search last, so the cheap ones go first: a block that the walk
-or a cheap search refutes is never searched from a short start.
+or a cheap search refutes is never searched from a short start.  The
+leading-set entry of the ties seeds the walk's alive set with every block,
+so it is narrowed only after the walk, by one enumeration of H's
+independent (a - 1)-sets for all blocks: each set takes the blocks that see
+none of its vertices, one AND per vertex.
 
 Twins are handled per block.  Twins u and w of H stay twins of H+b iff b
 holds both or neither, and only then does swapping them map the walk's
@@ -439,6 +453,49 @@ def is_min_key(n: int, masks: list[int], key: int, twins: Optional[list[int]] = 
     return _least_string(n, masks, key, True, twins) == key
 
 
+def _seen_by(j: int, blocks: Sequence[int]) -> list[int]:
+    """Entry u: the blocks of `blocks` that see vertex u < j, block i as bit i."""
+    sees = [0] * j
+    for i, b in enumerate(blocks):
+        while b:
+            low = b & -b
+            b ^= low
+            sees[j - low.bit_length()] |= 1 << i
+    return sees
+
+
+def _leading_blocks(j: int, masks: list[int], key: int, sees: list[int], among: int) -> int:
+    """The blocks of among (bits, as in sees, the output of _seen_by) whose
+    new vertex v lies in a maximum independent set of H+b, where H is the
+    graph of order j given by masks and key its minimal key.
+
+    H's largest independent sets have a vertices, where a is the depth of
+    key's first nonzero block (j if none), and v lies in a maximum one of
+    H+b iff b misses some independent (a - 1)-set of H (module docstring).
+    The sets grow in increasing index, and a branch stops once it can add no
+    block.
+    """
+    shift = _shifts(j)
+    a = next((d for d in range(j) if key >> shift[d]), j)
+    found = 0
+
+    def extend(size: int, free: int, miss: int) -> None:
+        """Extend an independent set of size vertices: free holds the vertices
+        past its last that miss it, miss the blocks that see none of it."""
+        nonlocal found
+        if size == a - 1:
+            found |= miss
+            return
+        while miss & ~found and size + free.bit_count() >= a - 1:
+            low = free & -free
+            free ^= low
+            u = low.bit_length() - 1
+            extend(size + 1, free & ~masks[u], miss & ~sees[u])
+
+    extend(0, (1 << j) - 1, among)
+    return found
+
+
 def canonical_blocks(j: int, masks: list[int], key: int, blocks: Sequence[int],
                      twins: Optional[list[int]] = None) -> list[int]:
     """The blocks b of `blocks`, in their order, for which (key << j) | b is
@@ -446,21 +503,20 @@ def canonical_blocks(j: int, masks: list[int], key: int, blocks: Sequence[int],
     whose bitstring key is its minimal key, and H+b adds vertex j with
     column block b; twins, if given, are H's twin masks.
 
-    One walk of H's tied orderings serves every block (module docstring).
+    One walk of H's tied orderings serves every block, and the search with
+    v in the leading set runs only for the blocks whose v lies in a maximum
+    independent set of H+b (module docstring).
     """
     if not blocks:
         return []
     if twins is None:
         twins = _twin_masks(j, masks)
-    sees = [0] * j  # bit i of entry u: block i sees u
-    for i, b in enumerate(blocks):
-        while b:
-            low = b & -b
-            b ^= low
-            sees[j - low.bit_length()] |= 1 << i
+    sees = _seen_by(j, blocks)
     ties: list = [((0, 0, [], []), (1 << len(blocks)) - 1)]  # v in the leading set: every block
     alive = _least_string(j, [m | s << j for m, s in zip(masks, sees)], key, False, twins,
                           ties=ties)
+    # narrowed only now: the walk reads every block from ties[0] as its alive set
+    ties[0] = ties[0][0], _leading_blocks(j, masks, key, sees, alive)
     extensions: dict[int, tuple[list[int], list[int]]] = {}  # block i: H+b_i's masks, twins
     for start, tied in sorted(ties, key=lambda tie: -tie[0][0]):  # the short searches first
         tied &= alive

@@ -63,9 +63,11 @@ def add_column(masks: list[int], block: int) -> list[int]:
 
 @cache
 def _lower_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the strictly lower order-n triangle, row-major
-    (np.tril_indices costs more than a whole one-graph decode)."""
-    return np.tril_indices(n, -1)
+    """Row and column indices of the strictly lower order-n triangle, row-major,
+    as np.tril_indices(n, -1) gives them; built from lists, since that call's
+    first use in a process costs more than a whole one-graph decode."""
+    return (np.array([r for r in range(n) for _ in range(r)], dtype=np.intp),
+            np.array([c for r in range(n) for c in range(r)], dtype=np.intp))
 
 
 def adjacency_tensor(n: int, bits: Sequence[int]) -> np.ndarray:

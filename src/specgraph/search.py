@@ -45,13 +45,14 @@ ENUMERATION_HARD_CAP = 8
 # 8, splits at 4-6 (11-156 units) time alike, 3 and 7 slower (README).
 _SPLIT_ORDER = 5
 # A prefix with this many candidate blocks or more tests them in one shared
-# walk (canonical.canonical_blocks); fewer are tested one by one, since each
-# block the walk keeps still costs a search of its own, with the new vertex
-# in the leading set.  In the order-8 census 93% of the tests sit at
-# prefixes with 8 blocks or more.  The interlacing cut leaves the perfbench
-# DS walks at most 7 blocks at a prefix, and a threshold of 1 made their 13
-# verdicts 24% slower in-process (medians of 5 processes, 37.6 against
-# 30.4 ms).
+# walk (canonical.canonical_blocks); fewer are tested one by one, since the
+# walk costs a search of H's tied orderings per prefix, and a block it keeps
+# whose new vertex lies in a maximum independent set still costs a search of
+# its own, with that vertex in the leading set.  In the order-8 census 93% of
+# the tests sit at prefixes with 8 blocks or more.  The interlacing cut
+# leaves the perfbench DS walks at most 7 blocks at a prefix, and a threshold
+# of 1 made their 13 verdicts 22% slower in-process (medians of 7 processes,
+# 73.2 against 60.1 ms).
 SHARED_SEARCH_BLOCKS = 8
 
 _enum_cache: dict[int, tuple[Graph, ...]] = {}

@@ -7,7 +7,8 @@ from specgraph import (Graph, OrderCapError, canonical_form, complement,
                        complete_graph, cycle_graph, disjoint_union, empty_graph,
                        is_isomorphic, path_graph, pyramid_graph, relabel,
                        star_graph)
-from specgraph.canonical import _twin_masks, canonical_blocks, extension_twins, is_min_key, min_key
+from specgraph.canonical import (_leading_blocks, _seen_by, _twin_masks, canonical_blocks,
+                                 extension_twins, is_min_key, min_key)
 from specgraph.graphs import add_column, pair_count
 from specgraph.search import enumerate_graphs
 
@@ -227,11 +228,12 @@ def _assert_shared_search_matches_one_test_per_block(h):
     assert canonical_blocks(j, masks, h.bits, blocks) == one_by_one, (j, h.bits)
 
 
-def _maximum_independent_sets(h):
-    """The maximum independent sets of h as vertex masks, by trying every set."""
-    masks = h.neighbor_masks()
-    sets = [s for s in range(1 << h.order)
-            if not any(s >> u & 1 and masks[u] & s for u in range(h.order))]
+def _maximum_independent_sets(masks):
+    """The maximum independent sets of the graph given by masks, as vertex
+    masks: every independent set is built, one vertex at a time."""
+    sets = [0]
+    for u, seen in enumerate(masks):
+        sets += [s | 1 << u for s in sets if not seen & s]
     top = max(s.bit_count() for s in sets)
     return [s for s in sets if s.bit_count() == top]
 
@@ -242,6 +244,21 @@ def test_shared_search_matches_one_test_per_block_up_to_order_7():
     for j in range(1, 8):
         for h in enumerate_graphs(j):
             _assert_shared_search_matches_one_test_per_block(h)
+
+
+def test_leading_blocks_are_those_whose_vertex_lies_in_a_maximum_independent_set():
+    # every canonical prefix H of order <= 7 and every block b: only these
+    # blocks get the search with the new vertex v = j in the leading set
+    for j in range(1, 8):
+        for h in enumerate_graphs(j):
+            masks, blocks = h.neighbor_masks(), range(1 << j)
+            sees = _seen_by(j, blocks)
+            held = sum(1 << b for b in blocks if any(
+                s >> j & 1 for s in _maximum_independent_sets(add_column(masks, b))))
+            every = (1 << len(blocks)) - 1
+            assert _leading_blocks(j, masks, h.bits, sees, every) == held, (j, h.bits)
+            odd = every // 3 << 1  # the odd blocks only
+            assert _leading_blocks(j, masks, h.bits, sees, odd) == held & odd, (j, h.bits)
 
 
 def test_shared_search_matches_one_test_per_block_on_larger_prefixes(rng):
@@ -275,7 +292,8 @@ def test_shared_search_matches_one_test_per_block_on_larger_prefixes(rng):
     sparse = canonical_form(Graph.from_edges(9, rng.sample(
         [(u, v) for v in range(9) for u in range(v)], 5))).to_graph()
     seen = [add_column(sparse.neighbor_masks(), b)[9] for b in range(1, 1 << 9)]
-    assert any(not s & lead for s in seen for lead in _maximum_independent_sets(sparse))
+    leads = _maximum_independent_sets(sparse.neighbor_masks())
+    assert any(not s & lead for s in seen for lead in leads)
     prefixes.append(sparse)
     for h in prefixes:
         _assert_shared_search_matches_one_test_per_block(h)

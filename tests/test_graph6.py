@@ -8,6 +8,8 @@ import pytest
 from conftest import random_graph
 from specgraph import (Graph, Graph6Error, ParameterError, complete_graph,
                        empty_graph, graph6_decode, graph6_encode, star_graph, to_dot)
+from specgraph.graph6 import _value
+from specgraph.graphs import pair_count
 from specgraph.search import enumerate_graphs
 
 
@@ -46,6 +48,28 @@ def test_matches_networkx(rng):
         assert graph6_decode(ours) == g
         back = nx.from_graph6_bytes(ours.encode())
         assert set(back.edges()) == {tuple(e) for e in g.edges()}
+
+
+def _shifted_value(raw):
+    """The 6-bit groups of raw by one shift per group: the quadratic reference."""
+    value = 0
+    for byte in raw:
+        value = (value << 6) | (byte - 63)
+    return value
+
+
+def test_value_matches_one_shift_per_group(rng):
+    for _ in range(300):
+        raw = bytes(rng.randrange(63, 127) for _ in range(rng.choice([0, 1, 3, 50, 700])))
+        assert _value(raw) == _shifted_value(raw)
+
+
+def test_roundtrip_of_a_large_complete_graph():
+    # the long form with 749,750 data bytes, decoded in one pass
+    g = Graph(3000, (1 << pair_count(3000)) - 1)
+    text = graph6_encode(g)
+    assert len(text) == 4 + 749750
+    assert graph6_decode(text) == g
 
 
 def test_random_strings_raise_only_graph6_errors(rng):

@@ -2,6 +2,7 @@
 
 import warnings
 
+import numpy as np
 import pytest
 
 from conftest import brute_force_isomorphic, edge_list, random_graph
@@ -10,7 +11,7 @@ from specgraph import (FamilyKind, FamilySpec, Graph, ParameterError, complement
                        disjoint_union, empty_graph, enumerate_graphs, induced_subgraph,
                        is_connected, is_isomorphic, join, line_graph, make_family, path_graph,
                        pyramid_graph, relabel, star_graph)
-from specgraph.graphs import adjacency_tensor, pair_count
+from specgraph.graphs import _lower_triangle, adjacency_tensor, pair_count
 
 
 def test_graph_construction_and_edges():
@@ -216,3 +217,9 @@ def test_adjacency_tensor_matches_neighbor_masks(rng):
     for n in (2, 4, 5, 11, 12, 64):
         tensor = adjacency_tensor(n, [1 << (pair_count(n) - 1)])
         assert tensor.sum() == 2 and tensor[0, 0, 1] == tensor[0, 1, 0] == 1, n
+
+
+def test_lower_triangle_equals_numpy_tril_indices():
+    for n in range(1, 65):
+        for got, want in zip(_lower_triangle(n), np.tril_indices(n, -1)):
+            assert got.dtype == want.dtype and np.array_equal(got, want), n

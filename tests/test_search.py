@@ -7,8 +7,9 @@ import json
 import pytest
 
 from specgraph import (DsVerdict, OrderCapError, ParameterError, SpecGraphError,
-                       are_cospectral, book_graph, burnside_graph_count, canonical_form, complement,
-                       charpoly, charpolys, cospectral_classes, cycle_graph, disjoint_union,
+                       are_cospectral, book_graph, burnside_graph_count, canonical,
+                       canonical_form, complement, charpoly, charpolys, cospectral_classes,
+                       cycle_graph, disjoint_union,
                        empty_graph, enumerate_graphs, graph6_encode, is_connected, is_ds,
                        is_isomorphic, path_graph, pyramid_graph, relabel, search,
                        smallest_non_cp_non_ds_order, star_cospectral_mate, star_graph)
@@ -70,9 +71,11 @@ def test_census_bits_are_pinned():
 def test_order8_census_matches_polya_layers_and_pinned_bits(monkeypatch):
     calls = _count_canonicity_tests(monkeypatch)
     _cold_caches(monkeypatch)
+    leading = _count_leading_set_searches(monkeypatch)
     with pytest.warns(ResourceWarning):
         census = enumerate_graphs(8)
     assert len(calls) == 21973
+    assert len(leading) == 2770
     sizes = [0] * (pair_count(8) + 1)
     for g in census:
         sizes[g.edge_count] += 1
@@ -247,6 +250,21 @@ def _count_canonicity_tests(monkeypatch) -> list:
     return calls
 
 
+def _count_leading_set_searches(monkeypatch) -> list:
+    """The keys of the shared walks' searches of H+b with the new vertex in
+    the leading set (a start of depth 0), appended as they are made."""
+    calls = []
+    searched = canonical._least_string
+
+    def counting(n, masks, bound, stop_below, twins=None, start=None, ties=None):
+        if start is not None and start[0] == 0:
+            calls.append(bound)
+        return searched(n, masks, bound, stop_below, twins, start, ties)
+
+    monkeypatch.setattr(canonical, "_least_string", counting)
+    return calls
+
+
 def _refuse_key(monkeypatch, lost):
     """Make the walk's canonicity test refuse the bitstring lost as well."""
     tested = search._canonical_blocks
@@ -259,13 +277,17 @@ def _refuse_key(monkeypatch, lost):
 
 def test_canonicity_test_counts_are_pinned(monkeypatch):
     # a sweep that repeats a test or stops skipping blocks changes these counts
+    # a shared walk that searches a block which cannot be refuted with the new
+    # vertex in the leading set changes the leading-set counts
     calls = _count_canonicity_tests(monkeypatch)
+    leading = _count_leading_set_searches(monkeypatch)
     _cold_caches(monkeypatch)
     assert len(enumerate_graphs(7)) == 1044
-    assert len(calls) == 1992
+    assert (len(calls), len(leading)) == (1992, 238)
     calls.clear()
+    leading.clear()
     assert len(enumerate_graphs(8, edges=7)) == 115
-    assert len(calls) == 712
+    assert (len(calls), len(leading)) == (712, 63)
 
 
 def test_enumerate_graphs_refuses_an_edge_count_out_of_range(monkeypatch):
