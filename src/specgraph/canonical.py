@@ -38,11 +38,11 @@ minimum, bit for bit.  The candidates with the least block over a cell of two
 or more vertices are those with the fewest neighbours in it.  The cell holds
 the bit slices of that count for every vertex, most significant first, so
 one mask operation per slice filters all candidates at once.  A cell of one
-vertex holds its neighbour mask, and once every cell has one vertex the masks
-join the placed ones.  A leading set of two is placed as two single vertices
-instead, in both orders (one if they are twins): the first vertex that sees
-just one of them would split the cell anyway, and the second order costs
-less than the cell.
+vertex holds its neighbour mask as its one slice, and once every cell has one
+vertex the masks join the placed ones.  A leading set of two is placed as two
+single vertices instead, in both orders (one if they are twins): the first
+vertex that sees just one of them would split the cell anyway, and the
+second order costs less than the cell.
 
 Twins are pruned as well.  Vertices u and w are twins when
 N(u) minus w equals N(w) minus u.  Swapping two twins that are both still
@@ -95,8 +95,7 @@ ones after c minus that many zeros, and the comparison reads:
 - above: every ordering that places v here is greater;
 - equal: the search of H+b goes on from the node, with v placed next and
   every cell split by v into (non-neighbours, neighbours), bounded by K'
-  (the start argument of _least_string).  At p = j equal means the string
-  is K'.
+  (_Search.below_from).  At p = j equal means the string is K'.
 
 The walk serves all blocks at once.  Block i is bit i of an int, and the
 walk's masks hold above bit j the set of blocks that see each vertex, so the
@@ -106,10 +105,9 @@ r holds the blocks that see at least c - r of it, counted once per cell.
 The ties wait until the walk ends and are searched longest start first, the
 leading-set search last, so the cheap ones go first: a block that the walk
 or a cheap search refutes is never searched from a short start.  The
-leading-set entry of the ties seeds the walk's alive set with every block,
-so it is narrowed only after the walk, by one enumeration of H's
-independent (a - 1)-sets for all blocks: each set takes the blocks that see
-none of its vertices, one AND per vertex.
+leading-set search is for the blocks that the walk keeps and that one
+enumeration of H's independent (a - 1)-sets finds: each set takes the blocks
+that see none of its vertices, one AND per vertex.
 
 Twins are handled per block.  Twins u and w of H stay twins of H+b iff b
 holds both or neither, and only then does swapping them map the walk's
@@ -189,55 +187,99 @@ def _shifts(n: int) -> tuple[int, ...]:
     return tuple(m - d * (d + 1) // 2 for d in range(n))
 
 
-def _least_string(n: int, masks: list[int], bound: int, stop_below: bool,
-                  twins: Optional[list[int]] = None, start: Optional[tuple] = None,
-                  ties: Optional[list] = None) -> int:
-    """The least bitstring over the orderings of the graph given by masks, or
-    bound if none is smaller.  twins, if given, are the graph's twin masks.
+class _Search:
+    """One search of the least bitstring over the orderings of the graph of
+    order n given by masks, bounded by bound (module docstring); twins, if
+    given, are the graph's twin masks.  Its entries are least for min_key,
+    below for is_min_key, and walk and below_from for the walk and the tie
+    searches of canonical_blocks.  Each runs once on a fresh object, but
+    below_from runs again until it stops below bound, the leading set last."""
 
-    With stop_below, returns as soon as some prefix falls below bound's, with
-    a value below bound that need not be a bitstring of the graph.
+    __slots__ = ("n", "masks", "twins", "shift", "bound", "best", "stop_below", "made",
+                 "columns", "alive", "ties", "top", "leading")
 
-    With start, a node (depth, unplaced, cells, placed) of the walk of the
-    graph without its last vertex v, only the orderings that place v next
-    after the node count, and bound must tie with the node and v's block;
-    from depth 0, the orderings that put v in the leading independent set.
+    def __init__(self, n: int, masks: list[int], bound: int,
+                 twins: Optional[list[int]] = None) -> None:
+        self.n, self.masks, self.bound, self.best = n, masks, bound, bound
+        self.twins = _twin_masks(n, masks) if twins is None else twins
+        self.shift = _shifts(n)
+        self.stop_below = False  # stop at the first prefix below bound's
+        self.made: dict[int, tuple[int, int, tuple[int, ...]]] = {}
+        self.columns: dict[int, list[int]] = {}
+        self.alive = 0  # a walk's blocks not refuted yet
+        self.ties: list = []  # a walk's (node, the blocks that tie there)
+        self.top = 0  # the size of the largest independent sets found
+        self.leading: list = []  # (set, blocks) for each of them
 
-    With ties, this is the walk of canonical_blocks: the graph is H, bound
-    is its minimal key, and entry u of masks holds above bit n the blocks
-    that see u.  ties starts with the leading-set start and every block; the
-    walk appends (node, the blocks that tie there) and returns the blocks it
-    does not refute (module docstring).
-    """
-    shift = _shifts(n)
-    if twins is None:
-        twins = _twin_masks(n, masks)
-    best = bound
-    made: dict[int, tuple[int, int, tuple[int, ...]]] = {}
-    columns: dict[int, list[int]] = {}
-    alive = ties[0][1] if ties else 0
+    def least(self) -> int:
+        """The least bitstring over the orderings, or bound if none is smaller;
+        with stop_below, a value below bound once a prefix is below bound's."""
+        self.independent(0, 0, (1 << self.n) - 1, -1, 0)
+        return self.from_leading()
 
-    def cell_of(cell: int) -> tuple[int, int, tuple[int, ...]]:
+    def below(self) -> bool:
+        """True iff some ordering's string is below bound, found at the first
+        prefix below bound's."""
+        self.stop_below = True
+        return self.least() != self.bound
+
+    def walk(self, alive: int) -> int:
+        """The walk of canonical_blocks: the graph is H, bound is its minimal
+        key, and entry u of masks holds above bit n the blocks that see u.
+        Appends (node, the blocks that tie there) to ties and returns the
+        blocks of alive that it does not refute (module docstring)."""
+        self.alive = alive
+        self.independent(0, 0, (1 << self.n) - 1, -1, alive)
+        self.lead()
+        return self.alive
+
+    def below_from(self, start: tuple) -> bool:
+        """A tie search of canonical_blocks: True iff an ordering that places
+        v, the last vertex, next after start, a node (depth, unplaced, cells,
+        placed) of the walk of the graph without v, has a string below bound,
+        which ties with the node and v's block.  From depth 0, the orderings
+        that put v in the leading independent set."""
+        self.stop_below = True
+        depth, rest, cells, placed = start
+        masks, v = self.masks, self.n - 1
+        if depth:
+            split, after = self.split_by(cells, placed, masks[v])
+            return self.descend(depth + 1, self.bound >> self.shift[depth], rest, split,
+                                after + [masks[v]])
+        self.independent(1, 1 << v, ((1 << v) - 1) & ~masks[v], -1, 0)
+        if not self.leading:  # v sees every vertex
+            self.top, self.leading = 1, [(1 << v, 0)]
+        return self.from_leading() != self.bound
+
+    def from_leading(self) -> int:
+        """What least returns, from the leading sets found."""
+        if self.top == self.n:
+            return 0  # no edges
+        if self.stop_below and self.bound >> self.shift[self.top - 1]:
+            return 0  # the leading set's zeros are below bound's prefix
+        self.lead()
+        return self.best
+
+    def cell_of(self, cell: int) -> tuple[int, int, tuple[int, ...]]:
         """(cell, its size, the bit slices of the number of neighbours each
-        vertex has in it, most significant first), for a cell of two or more
-        vertices."""
-        if cell not in made:
+        vertex has in it, most significant first)."""
+        if cell not in self.made:
             size = cell.bit_count()
             slices = [0] * size.bit_length()  # least significant first, wide enough for size
             rest = cell
             while rest:
                 low = rest & -rest
                 rest ^= low
-                carry, i = masks[low.bit_length() - 1], 0
+                carry, i = self.masks[low.bit_length() - 1], 0
                 while carry:
                     s = slices[i]
                     slices[i] = s ^ carry
                     carry &= s
                     i += 1
-            made[cell] = cell, size, tuple(reversed(slices))
-        return made[cell]
+            self.made[cell] = cell, size, tuple(reversed(slices))
+        return self.made[cell]
 
-    def split_by(cells: list, placed: list[int], seen: int) -> tuple[list, list[int]]:
+    def split_by(self, cells: list, placed: list[int], seen: int) -> tuple[list, list[int]]:
         """The cells and placed masks once a vertex with neighbour mask seen
         is placed: each cell splits into (non-neighbours, neighbours), and
         once every cell has one vertex their masks join the placed ones."""
@@ -246,42 +288,35 @@ def _least_string(n: int, masks: list[int], bound: int, stop_below: bool,
             cell = entry[0]
             hit = cell & seen
             if hit and hit != cell:
-                for part in (cell ^ hit, hit):
-                    if part & (part - 1):
-                        split.append(cell_of(part))
-                        whole = False
-                    else:  # a singleton holds its vertex's neighbour mask
-                        split.append((part, 1, masks[part.bit_length() - 1]))
+                split += self.cell_of(cell ^ hit), self.cell_of(hit)
+                whole = whole and entry[1] == 2
             else:
                 split.append(entry)
                 whole = whole and entry[1] == 1
-        if whole:
-            return [], [entry[2] for entry in split] + placed
+        if whole:  # a singleton's one slice is its vertex's neighbour mask
+            return [], [entry[2][0] for entry in split] + placed
         return split, placed
 
-    def entering(u: int, entered: list[tuple[int, int]], active: int) -> int:
+    def entering(self, u: int, entered: list[tuple[int, int]], active: int) -> int:
         """The blocks of active that walk the subtree of u: a twin w's subtree,
         entered before, held the same strings for the blocks that see both or
         neither."""
-        x = masks[u] >> n
+        x = self.masks[u] >> self.n
         for w, through in entered:
-            if twins[u] >> w & 1:
-                active &= ~through | (x ^ masks[w] >> n)
+            if self.twins[u] >> w & 1:
+                active &= ~through | (x ^ self.masks[w] >> self.n)
         if active:
             entered.append((u, active))
         return active
 
-    def versus(depth: int, unplaced: int, cells: list, placed: list[int], active: int) -> int:
+    def versus(self, depth: int, unplaced: int, cells: list, placed: list, active: int) -> int:
         """Hold v, placed at position depth, against bound's block there, or
         against its own block b after a whole ordering (depth n), for the
         blocks of active: drop the blocks below it from alive, append the node
         and the blocks that tie to ties, and return those still alive."""
-        nonlocal alive
+        n, masks, columns = self.n, self.masks, self.columns
         xs = []  # position k: the blocks whose v sees it, non-neighbours first over a cell
         for cell, size, slices in cells:
-            if size == 1:
-                xs.append(slices >> n)
-                continue
             if cell not in columns:
                 at_least = [-1] + [0] * size  # entry m: the blocks that see m or more of the cell
                 rest = cell
@@ -295,7 +330,7 @@ def _least_string(n: int, masks: list[int], bound: int, stop_below: bool,
             xs += columns[cell]
         xs += [s >> n for s in placed]
         if depth < n:  # bound's block at depth, a bit for every block alike
-            target = bound >> shift[depth]
+            target = self.bound >> self.shift[depth]
             ys = [-(target >> depth - 1 - k & 1) for k in range(depth)]
         else:  # each block b itself: position k holds vertex k in the minimal key's ordering
             ys = [m >> n for m in masks]
@@ -305,30 +340,22 @@ def _least_string(n: int, masks: list[int], bound: int, stop_below: bool,
             eq &= ~(x ^ y)
             if not eq:
                 break
-        alive &= ~below
+        self.alive &= ~below
         if eq and depth < n:
-            ties.append(((depth, unplaced, cells, placed[:]), eq))
-        return active & alive
+            self.ties.append(((depth, unplaced, cells, placed[:]), eq))
+        return active & self.alive
 
-    def descend(depth: int, prefix: int, unplaced: int, cells: list, placed: list,
+    def descend(self, depth: int, prefix: int, unplaced: int, cells: list, placed: list,
                 active: int = 0) -> bool:
         """cells: the leading independent set's cells while one has two or
         more vertices, else empty; placed: the neighbour masks of the
         positions after them; active: the blocks of a walk."""
-        nonlocal best
         if active:
-            active = versus(depth, unplaced, cells, placed, active)
-            if not active or depth == n:
+            active = self.versus(depth, unplaced, cells, placed, active)
+            if not active or depth == self.n:
                 return False
         least, block = unplaced, 0
         for _, size, slices in cells:
-            if size == 1:
-                miss = least & ~slices
-                if miss:
-                    least, block = miss, block << 1
-                else:
-                    block = (block << 1) | 1
-                continue
             ones = 0  # the least number of neighbours in the cell
             for s in slices:
                 miss = least & ~s
@@ -344,14 +371,14 @@ def _least_string(n: int, masks: list[int], bound: int, stop_below: bool,
             else:
                 block = (block << 1) | 1
         prefix = (prefix << depth) | block
-        limit = best >> shift[depth]
+        limit = self.best >> self.shift[depth]
         if prefix > limit:
             return False
-        if prefix < limit and stop_below:
-            best = prefix << shift[depth]
+        if prefix < limit and self.stop_below:
+            self.best = prefix << self.shift[depth]
             return True
-        if depth == n - 1:
-            best = prefix  # a whole string, no greater than best
+        if depth == self.n - 1:
+            self.best = prefix  # a whole string, no greater than best
             if not active:
                 return False
         tried, entered, sub = 0, [], 0
@@ -360,30 +387,27 @@ def _least_string(n: int, masks: list[int], bound: int, stop_below: bool,
             least ^= low
             u = low.bit_length() - 1
             if active:
-                sub = entering(u, entered, active & alive)
+                sub = self.entering(u, entered, active & self.alive)
                 if not sub:
                     continue
-            elif twins[u] & tried:
+            elif self.twins[u] & tried:
                 continue  # a twin's subtree already held the same strings
             tried |= low
-            seen = masks[u]
-            split, after = split_by(cells, placed, seen) if cells else (cells, placed)
+            seen = self.masks[u]
+            split, after = self.split_by(cells, placed, seen) if cells else (cells, placed)
             after.append(seen)
-            stop = descend(depth + 1, prefix, unplaced ^ low, split, after, sub)
+            stop = self.descend(depth + 1, prefix, unplaced ^ low, split, after, sub)
             after.pop()
             if stop:
                 return True
         return False
 
-    top, leading = 0, []  # the size of the largest independent sets found, and (set, blocks)
-
-    def independent(size: int, chosen: int, free: int, above: int, active: int) -> None:
+    def independent(self, size: int, chosen: int, free: int, above: int, active: int) -> None:
         """Extend chosen, an independent set of size vertices, by the vertices
         of free (those that miss it) in above (those past its last), keeping
         the largest maximal sets in leading."""
-        nonlocal top
         grow = free & above
-        if size + grow.bit_count() < top:
+        if size + grow.bit_count() < self.top:
             return  # too small to be maximum
         tried, entered, sub = 0, [], 0
         while grow:
@@ -391,66 +415,51 @@ def _least_string(n: int, masks: list[int], bound: int, stop_below: bool,
             grow ^= low
             u = low.bit_length() - 1
             if active:
-                sub = entering(u, entered, active)
+                sub = self.entering(u, entered, active)
                 if not sub:
                     continue
-            elif twins[u] & tried:
+            elif self.twins[u] & tried:
                 continue  # a twin's subtree held the same sets, or only dead ends
             tried |= low
-            rest = free & ~masks[u] & ~low
+            rest = free & ~self.masks[u] & ~low
             if rest:
                 if rest >> u + 1:  # else chosen + u misses a vertex but can add none: a dead end
-                    independent(size + 1, chosen | low, rest, -(low << 1), sub)
-            elif size + 1 >= top:
-                if size + 1 > top:
-                    top = size + 1
-                    leading.clear()
-                leading.append((chosen | low, sub))
+                    self.independent(size + 1, chosen | low, rest, -(low << 1), sub)
+            elif size + 1 >= self.top:
+                if size + 1 > self.top:
+                    self.top = size + 1
+                    self.leading.clear()
+                self.leading.append((chosen | low, sub))
 
-    unplaced = (1 << n) - 1
-    if start is None:
-        independent(0, 0, unplaced, -1, alive)
-    else:
-        depth, rest, cells, placed = start
-        v = n - 1
-        if depth:
-            split, after = split_by(cells, placed, masks[v])
-            descend(depth + 1, bound >> shift[depth], rest, split, after + [masks[v]])
-            return best
-        independent(1, 1 << v, unplaced & ~masks[v] & ~(1 << v), -1, 0)
-        if not leading:  # v sees every vertex
-            top, leading = 1, [(1 << v, 0)]
-    if top == n and not ties:
-        return 0
-    if stop_below and best >> shift[top - 1]:
-        return 0  # below bound's prefix
-    for chosen, active in leading:
-        u, w = (chosen & -chosen).bit_length() - 1, chosen.bit_length() - 1  # first, last
-        rest = unplaced ^ chosen
-        if top == 1:
-            stop = descend(1, 0, rest, [], [masks[u]], active)
-        elif top == 2:  # placed singly, in both orders unless u and w are twins
-            stop = descend(2, 0, rest, [], [masks[u], masks[w]], active)
-            if twins[u] >> w & 1:  # in a walk, both orders for the blocks that see one of them
-                active &= (masks[u] ^ masks[w]) >> n
-            if not stop and (active or not twins[u] >> w & 1):
-                stop = descend(2, 0, rest, [], [masks[w], masks[u]], active)
-        else:
-            stop = descend(top, 0, rest, [cell_of(chosen)], [], active)
-        if stop:
-            break
-    return alive if ties else best
+    def lead(self) -> None:
+        """Descend from each leading set found, until a search stops below bound."""
+        masks, twins, top = self.masks, self.twins, self.top
+        for chosen, active in self.leading:
+            u, w = (chosen & -chosen).bit_length() - 1, chosen.bit_length() - 1  # first, last
+            rest = ((1 << self.n) - 1) ^ chosen
+            if top == 1:
+                stop = self.descend(1, 0, rest, [], [masks[u]], active)
+            elif top == 2:  # placed singly, in both orders unless u and w are twins
+                stop = self.descend(2, 0, rest, [], [masks[u], masks[w]], active)
+                if twins[u] >> w & 1:  # in a walk, both orders for the blocks that see one of them
+                    active &= (masks[u] ^ masks[w]) >> self.n
+                if not stop and (active or not twins[u] >> w & 1):
+                    stop = self.descend(2, 0, rest, [], [masks[w], masks[u]], active)
+            else:
+                stop = self.descend(top, 0, rest, [self.cell_of(chosen)], [], active)
+            if stop:
+                return
 
 
 def min_key(n: int, masks: list[int]) -> int:
     """Minimal bitstring over all vertex orderings of the graph given by masks."""
-    return _least_string(n, masks, 1 << pair_count(n), stop_below=False)  # above every key
+    return _Search(n, masks, 1 << pair_count(n)).least()  # bound above every key
 
 
 def is_min_key(n: int, masks: list[int], key: int, twins: Optional[list[int]] = None) -> bool:
     """True iff key, the bitstring of the graph given by masks, is its minimal
     one; twins, if given, are the graph's twin masks."""
-    return _least_string(n, masks, key, True, twins) == key
+    return not _Search(n, masks, key, twins).below()
 
 
 def _seen_by(j: int, blocks: Sequence[int]) -> list[int]:
@@ -472,27 +481,25 @@ def _leading_blocks(j: int, masks: list[int], key: int, sees: list[int], among: 
     H's largest independent sets have a vertices, where a is the depth of
     key's first nonzero block (j if none), and v lies in a maximum one of
     H+b iff b misses some independent (a - 1)-set of H (module docstring).
-    The sets grow in increasing index, and a branch stops once it can add no
-    block.
     """
     shift = _shifts(j)
     a = next((d for d in range(j) if key >> shift[d]), j)
-    found = 0
+    return _missed(a - 1, (1 << j) - 1, among, 0, masks, sees)
 
-    def extend(size: int, free: int, miss: int) -> None:
-        """Extend an independent set of size vertices: free holds the vertices
-        past its last that miss it, miss the blocks that see none of it."""
-        nonlocal found
-        if size == a - 1:
-            found |= miss
-            return
-        while miss & ~found and size + free.bit_count() >= a - 1:
-            low = free & -free
-            free ^= low
-            u = low.bit_length() - 1
-            extend(size + 1, free & ~masks[u], miss & ~sees[u])
 
-    extend(0, (1 << j) - 1, among)
+def _missed(need: int, free: int, miss: int, found: int, masks: list[int],
+            sees: list[int]) -> int:
+    """found plus the blocks of miss that see none of some independent set
+    of need more vertices from free, where miss holds the blocks that see
+    none of an independent set already chosen, and free the vertices past
+    its last that miss it.  A branch stops once it can add no block."""
+    if not need:
+        return found | miss
+    while miss & ~found and free.bit_count() >= need:
+        low = free & -free
+        free ^= low
+        u = low.bit_length() - 1
+        found = _missed(need - 1, free & ~masks[u], miss & ~sees[u], found, masks, sees)
     return found
 
 
@@ -512,24 +519,22 @@ def canonical_blocks(j: int, masks: list[int], key: int, blocks: Sequence[int],
     if twins is None:
         twins = _twin_masks(j, masks)
     sees = _seen_by(j, blocks)
-    ties: list = [((0, 0, [], []), (1 << len(blocks)) - 1)]  # v in the leading set: every block
-    alive = _least_string(j, [m | s << j for m, s in zip(masks, sees)], key, False, twins,
-                          ties=ties)
-    # narrowed only now: the walk reads every block from ties[0] as its alive set
-    ties[0] = ties[0][0], _leading_blocks(j, masks, key, sees, alive)
-    extensions: dict[int, tuple[list[int], list[int]]] = {}  # block i: H+b_i's masks, twins
+    walk = _Search(j, [m | s << j for m, s in zip(masks, sees)], key, twins)
+    alive = walk.walk((1 << len(blocks)) - 1)
+    # v in the leading set, for the blocks that the walk keeps
+    ties = walk.ties + [((0, 0, [], []), _leading_blocks(j, masks, key, sees, alive))]
+    searches: dict[int, _Search] = {}  # block i: the search of H+b_i, kept while b_i is alive
     for start, tied in sorted(ties, key=lambda tie: -tie[0][0]):  # the short searches first
         tied &= alive
         while tied:
             low = tied & -tied
             tied ^= low
             i = low.bit_length() - 1
-            if i not in extensions:
+            if i not in searches:
                 ext = add_column(masks, blocks[i])
-                extensions[i] = ext, extension_twins(twins, ext)
-            ext, ext_twins = extensions[i]
-            new_key = (key << j) | blocks[i]
-            if _least_string(j + 1, ext, new_key, True, ext_twins, start) != new_key:
+                searches[i] = _Search(j + 1, ext, (key << j) | blocks[i],
+                                      extension_twins(twins, ext))
+            if searches[i].below_from(start):
                 alive ^= low
     return [b for i, b in enumerate(blocks) if alive >> i & 1]
 

@@ -79,33 +79,30 @@ def _dfs_long_odd_cycle(masks: list[int], active: int) -> Optional[list[int]]:
         if work.bit_count() < 5:
             return None
         anchor = (work & -work).bit_length() - 1  # lowest active vertex
-        found = _paths_from(masks, work, anchor)
+        found = _paths_from(masks, work, [anchor], anchor, 1 << anchor)
         if found is not None:
             return found
         work &= ~(1 << anchor)  # remaining cycles avoid this anchor
     return None
 
 
-def _paths_from(masks: list[int], active: int, anchor: int) -> Optional[list[int]]:
-    path = [anchor]
-    anchor_mask = masks[anchor]
-
-    def extend(v: int, visited: int) -> Optional[list[int]]:
-        candidates = masks[v] & active & ~visited
-        while candidates:
-            u = (candidates & -candidates).bit_length() - 1
-            candidates &= candidates - 1
-            path.append(u)
-            length = len(path)
-            if length >= 5 and length % 2 == 1 and (anchor_mask >> u) & 1:
-                return path[:]
-            result = extend(u, visited | (1 << u))
-            if result is not None:
-                return result
-            path.pop()
-        return None
-
-    return extend(anchor, 1 << anchor)
+def _paths_from(masks: list[int], active: int, path: list[int], v: int,
+                visited: int) -> Optional[list[int]]:
+    """Extend path, a simple path from its anchor path[0] to v through the
+    vertices of visited, until it closes an odd cycle of length >= 5."""
+    candidates = masks[v] & active & ~visited
+    while candidates:
+        u = (candidates & -candidates).bit_length() - 1
+        candidates &= candidates - 1
+        path.append(u)
+        length = len(path)
+        if length >= 5 and length % 2 == 1 and (masks[path[0]] >> u) & 1:
+            return path[:]
+        result = _paths_from(masks, active, path, u, visited | (1 << u))
+        if result is not None:
+            return result
+        path.pop()
+    return None
 
 
 def _long_odd_cycle(masks: list[int],

@@ -45,14 +45,13 @@ ENUMERATION_HARD_CAP = 8
 # 8, splits at 4-6 (11-156 units) time alike, 3 and 7 slower (README).
 _SPLIT_ORDER = 5
 # A prefix with this many candidate blocks or more tests them in one shared
-# walk (canonical.canonical_blocks); fewer are tested one by one, since the
-# walk costs a search of H's tied orderings per prefix, and a block it keeps
-# whose new vertex lies in a maximum independent set still costs a search of
-# its own, with that vertex in the leading set.  In the order-8 census 93% of
-# the tests sit at prefixes with 8 blocks or more.  The interlacing cut
-# leaves the perfbench DS walks at most 7 blocks at a prefix, and a threshold
-# of 1 made their 13 verdicts 22% slower in-process (medians of 7 processes,
-# 73.2 against 60.1 ms).
+# walk (canonical.canonical_blocks), and fewer one by one: the walk costs a
+# search of H's tied orderings per prefix, and each block it keeps whose new
+# vertex lies in a maximum independent set still costs a search with that
+# vertex in the leading set.  In the order-8 census 93% of the tests sit at
+# prefixes with 8 blocks or more; the perfbench DS walks have at most 7, and a
+# threshold of 1 made their 13 verdicts 16% slower in-process (37.5 against
+# 32.4 ms, medians of 10 processes, each the minimum of 5 rounds).
 SHARED_SEARCH_BLOCKS = 8
 
 _enum_cache: dict[int, tuple[Graph, ...]] = {}
@@ -86,6 +85,18 @@ def _twin_rule(j: int, twins: list[int], blocks: Iterable[int]) -> Iterable[int]
     if not rules:
         return blocks
     return [b for b in blocks if all(b & pair != u_bit for pair, u_bit in rules)]
+
+
+def _blocks(n: int, edges: Optional[int], j: int, key: int, twins: list[int]) -> Iterable[int]:
+    """The blocks that the column floor, the edge window (edges, if set) and
+    the twin rule leave for a new vertex after the prefix of order j, with
+    bitstring key and twin masks twins, in a walk of order n (see _walk)."""
+    blocks = range(_column_floor(j, key), 1 << j)
+    if edges is not None:
+        most = edges - key.bit_count()
+        least = most - (pair_count(n) - pair_count(j + 1))
+        blocks = [b for b in blocks if least <= b.bit_count() <= most]
+    return _twin_rule(j, twins, blocks)
 
 
 def _canonical_blocks(j: int, masks: list[int], key: int, blocks: list[int],
@@ -223,24 +234,17 @@ def _walk(n: int, edges: Optional[int] = None, cut: Optional[_InterlacingCut] = 
     [0], and a child's come from its parent's by extension_twins, so the twin
     rule and the canonicity test share them.
     """
-    m = pair_count(n)
     out: list = []
-
-    if edges is None:
-        def blocks(j: int, key: int) -> Iterable[int]:
-            return range(_column_floor(j, key), 1 << j)
-    else:
-        def blocks(j: int, key: int) -> Iterable[int]:
-            most = edges - key.bit_count()
-            least = most - (m - pair_count(j + 1))
-            return [b for b in range(_column_floor(j, key), 1 << j)
-                    if least <= b.bit_count() <= most]
-
-    def extend(j: int, key: int, masks: list[int], twins: list[int],
-               prefix: Optional[_Prefix]) -> None:
+    stack = [(root, None if cut is None else cut.root())]
+    while stack:
+        state, prefix = stack.pop()
+        j, key, masks, twins = state
+        if j in (split, n):  # a unit, or order 1 (edges, if set, is 0: the callers check it)
+            out.append(key if split is None else state)
+            continue
         tested = []
         children = {}
-        for b in _twin_rule(j, twins, blocks(j, key)):
+        for b in _blocks(n, edges, j, key, twins):
             if cut is not None:
                 child = cut.admit(prefix, add_column(masks, b))
                 if child is None:
@@ -248,22 +252,15 @@ def _walk(n: int, edges: Optional[int] = None, cut: Optional[_InterlacingCut] = 
                 children[b] = child
             tested.append(b)
         # no extension of a non-canonical prefix is canonical
-        for b in _canonical_blocks(j, masks, key, tested, twins):
-            new_key = (key << j) | b
-            if j + 1 == n and split is None:
-                out.append(new_key)
-                continue
+        kept = _canonical_blocks(j, masks, key, tested, twins)
+        if j + 1 == n and split is None:
+            out += [(key << j) | b for b in kept]
+            continue
+        for b in reversed(kept):  # the first child on top: depth first, ascending
             child = children.get(b)
             new_masks = add_column(masks, b) if child is None else child.masks
-            state = (j + 1, new_key, new_masks, extension_twins(twins, new_masks))
-            if j + 1 in (split, n):
-                out.append(state)
-            else:
-                extend(*state, child)
-
-    if root[0] == n:  # order 1 (edges, if set, is 0: the callers check it), or a unit
-        return [root[1] if split is None else root]
-    extend(*root, None if cut is None else cut.root())
+            stack.append(((j + 1, (key << j) | b, new_masks, extension_twins(twins, new_masks)),
+                          child))
     return out
 
 

@@ -1,6 +1,7 @@
 """Isomorph-free enumeration, cospectral classes, DS verdicts, star mates."""
 
 import contextlib
+import gc
 import hashlib
 import json
 
@@ -10,7 +11,8 @@ from specgraph import (DsVerdict, OrderCapError, ParameterError, SpecGraphError,
                        are_cospectral, book_graph, burnside_graph_count, canonical,
                        canonical_form, complement, charpoly, charpolys, cospectral_classes,
                        cycle_graph, disjoint_union,
-                       empty_graph, enumerate_graphs, graph6_encode, is_connected, is_ds,
+                       empty_graph, enumerate_graphs, graph6_encode, is_connected,
+                       is_cp_graph, is_ds,
                        is_isomorphic, path_graph, pyramid_graph, relabel, search,
                        smallest_non_cp_non_ds_order, star_cospectral_mate, star_graph)
 from specgraph.canonical import _twin_masks, is_min_key, min_key
@@ -254,14 +256,14 @@ def _count_leading_set_searches(monkeypatch) -> list:
     """The keys of the shared walks' searches of H+b with the new vertex in
     the leading set (a start of depth 0), appended as they are made."""
     calls = []
-    searched = canonical._least_string
+    searched = canonical._Search.below_from
 
-    def counting(n, masks, bound, stop_below, twins=None, start=None, ties=None):
-        if start is not None and start[0] == 0:
-            calls.append(bound)
-        return searched(n, masks, bound, stop_below, twins, start, ties)
+    def counting(self, start):
+        if start[0] == 0:
+            calls.append(self.bound)
+        return searched(self, start)
 
-    monkeypatch.setattr(canonical, "_least_string", counting)
+    monkeypatch.setattr(canonical._Search, "below_from", counting)
     return calls
 
 
@@ -288,6 +290,26 @@ def test_canonicity_test_counts_are_pinned(monkeypatch):
     leading.clear()
     assert len(enumerate_graphs(8, edges=7)) == 115
     assert (len(calls), len(leading)) == (712, 63)
+
+
+def test_searches_leave_no_cyclic_garbage(monkeypatch):
+    # a search that defines functions per call, or keeps itself in its own
+    # state, leaves a reference cycle per call that only the collector frees
+    _cold_caches(monkeypatch)
+    steps = [
+        lambda: enumerate_graphs(6),
+        lambda: [canonical_form(g) for g in enumerate_graphs(6)],
+        lambda: [is_cp_graph(g) for g in enumerate_graphs(7)],
+        lambda: is_ds(star_graph(7)),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for i, step in enumerate(steps):
+            step()
+            assert gc.collect() == 0, i
+    finally:
+        gc.enable()
 
 
 def test_enumerate_graphs_refuses_an_edge_count_out_of_range(monkeypatch):
