@@ -188,23 +188,8 @@ def berkowitz_level(coeffs: Sequence[int], masks: Sequence[int]) -> list[int]:
     the Samuelson-Berkowitz recurrence."""
     m = len(masks) - 1
     below = (1 << m) - 1
-    rows = [_bit_indices(mask & below) for mask in masks]
-    return _berkowitz_level(coeffs, rows[:m], rows[m])
-
-
-def _bit_indices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _berkowitz_level(vec: Sequence[int], rows: list[list[int]], col: list[int]) -> list[int]:
-    """The leading (m+1)-block's charpoly from the m-block's, vec.  rows[j] lists
-    the neighbours of vertex j < m below m, and col those of vertex m."""
-    m = len(rows)
+    rows = [_bit_indices(mask & below) for mask in masks[:m]]  # the neighbours below m
+    col = _bit_indices(masks[m] & below)                       # the last vertex's
     # Toeplitz column: 1, -diag (=0), then -(row . M^k . col) for k = 0..m-1
     t = [1, 0]
     if col:  # else every walk term is 0
@@ -218,10 +203,19 @@ def _berkowitz_level(vec: Sequence[int], rows: list[list[int]], col: list[int]) 
     new = [0] * (m + 2)
     for i, ti in enumerate(t):
         if ti:
-            for j, vj in enumerate(vec):
+            for j, cj in enumerate(coeffs):
                 if i + j < m + 2:
-                    new[i + j] += ti * vj
+                    new[i + j] += ti * cj
     return new
+
+
+def _bit_indices(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def are_cospectral(g1: Graph, g2: Graph) -> bool:

@@ -3,15 +3,16 @@
 Eigenvalues come from ``np.linalg.eigvalsh``; the ones that are integers
 are confirmed on the integer characteristic polynomial and printed exactly.
 
-Integer and Fraction thresholds in the eigenvalue-counting operations are
-counted exactly on the integer characteristic polynomial (Descartes' rule of
-signs, exact because an adjacency charpoly is real-rooted), because the
-structural arguments count eigenvalues relative to -1 and 0 and must not
-depend on numeric error.
+The eigenvalue-counting operations count every finite threshold exactly on
+the integer characteristic polynomial (Descartes' rule of signs, exact
+because an adjacency charpoly is real-rooted), a float at its exact dyadic
+value, because the structural arguments count eigenvalues relative to -1 and
+0 and must not depend on numeric error.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -29,10 +30,9 @@ SNAP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class NumericSpectrum:
-    """Eigenvalues sorted descending, with a clustering tolerance for multiplicities."""
+    """Eigenvalues sorted descending; `clustered` groups them within CLUSTER_TOL."""
 
     values: tuple[float, ...]
-    tolerance: float = CLUSTER_TOL
 
     @property
     def order(self) -> int:
@@ -43,7 +43,7 @@ class NumericSpectrum:
         out: list[tuple[float, int]] = []
         group: list[float] = []
         for v in self.values:
-            if group and abs(group[-1] - v) > self.tolerance:
+            if group and abs(group[-1] - v) > CLUSTER_TOL:
                 out.append((sum(group) / len(group), len(group)))
                 group = []
             group.append(v)
@@ -75,7 +75,7 @@ def eigenvalues(g: Graph) -> NumericSpectrum:
         if abs(v - round(v)) <= SNAP_TOL:
             near.setdefault(round(v), []).append(i)
     for c, idx in near.items():
-        _, at = real_rooted_counts(poly, c)
+        _, at = real_rooted_counts(poly.coeffs, c)
         for i in sorted(idx, key=lambda i: abs(values[i] - c))[:at]:
             values[i] = float(c)
     return NumericSpectrum(tuple(sorted(values, reverse=True)))
@@ -84,20 +84,25 @@ def eigenvalues(g: Graph) -> NumericSpectrum:
 Threshold = Union[int, float, Fraction]
 
 
+def _counts(g: Graph, a: Threshold) -> tuple[int, int]:
+    """(eigenvalues of g above a, multiplicity of a), exact at every finite
+    threshold: a float is a dyadic rational, and Fraction(a) is its value."""
+    if (isinstance(a, bool) or not isinstance(a, (int, float, Fraction))
+            or isinstance(a, float) and not math.isfinite(a)):
+        raise ParameterError(f"a threshold must be a finite int, float or Fraction, got {a!r}")
+    return real_rooted_counts(charpoly(g).coeffs, Fraction(a) if isinstance(a, float) else a)
+
+
 def count_leq(g: Graph, a: Threshold) -> int:
-    """Eigenvalues of g that are <= a; exact when a is an integer or Fraction."""
-    if isinstance(a, (int, Fraction)) and not isinstance(a, bool):
-        above, _ = real_rooted_counts(charpoly(g), a)
-        return g.order - above
-    return sum(1 for v in eigenvalues(g).values if v <= a)
+    """Eigenvalues of g that are <= a, counted exactly."""
+    above, _ = _counts(g, a)
+    return g.order - above
 
 
 def count_geq(g: Graph, a: Threshold) -> int:
-    """Eigenvalues of g that are >= a; exact when a is an integer or Fraction."""
-    if isinstance(a, (int, Fraction)) and not isinstance(a, bool):
-        above, at = real_rooted_counts(charpoly(g), a)
-        return above + at
-    return sum(1 for v in eigenvalues(g).values if v >= a)
+    """Eigenvalues of g that are >= a, counted exactly."""
+    above, at = _counts(g, a)
+    return above + at
 
 
 def verify_interlacing(g: Graph, subset: Iterable[int], tol: float = 1e-8) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 from .errors import ParameterError
 
@@ -159,8 +159,10 @@ def divmod_by_monic(p: IntPolynomial, d: IntPolynomial) -> tuple[IntPolynomial, 
     return IntPolynomial(tuple(quot)), IntPolynomial(tuple(rem[len(quot):]) or (0,))
 
 
-def real_rooted_counts(p: IntPolynomial, a: Scalar) -> tuple[int, int]:
-    """(roots of p strictly above a, multiplicity of a as a root of p).  Exact.
+def real_rooted_counts(coeffs: Sequence[int], a: Scalar) -> tuple[int, int]:
+    """(roots of p strictly above a, multiplicity of a as a root of p), where
+    p has the integer coefficients coeffs, highest degree first, the leading
+    one nonzero.  Exact.
 
     Precondition: every root of p is real, as for the characteristic
     polynomial of a symmetric matrix.  The count is Descartes' rule of signs
@@ -172,8 +174,8 @@ def real_rooted_counts(p: IntPolynomial, a: Scalar) -> tuple[int, int]:
     and a becomes the root 0.
     """
     r, s = a.numerator, a.denominator
-    n = p.degree
-    c = [coef * s ** i for i, coef in enumerate(p.coeffs)]   # s^n p(y/s)
+    n = len(coeffs) - 1
+    c = [coef * s ** i for i, coef in enumerate(coeffs)]      # s^n p(y/s)
     if r:
         for i in range(n):                                    # Taylor shift by r
             for j in range(1, n + 1 - i):

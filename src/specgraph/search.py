@@ -28,7 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from multiprocessing import Pool
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .canonical import (CANONICAL_ORDER_CAP, canonical_blocks, extension_twins, is_min_key,
                         min_key)
@@ -37,7 +37,7 @@ from .errors import OrderCapError, ParameterError, SpecGraphError
 from .exact import berkowitz_charpoly, berkowitz_level, charpolys
 from .graphs import (Graph, add_column, complete_bipartite_graph, disjoint_union, empty_graph,
                      pair_count)
-from .polynomials import IntPolynomial, real_rooted_counts
+from .polynomials import real_rooted_counts
 
 ENUMERATION_SOFT_CAP = 7
 ENUMERATION_HARD_CAP = 8
@@ -118,18 +118,6 @@ def _canonical_blocks(j: int, masks: list[int], key: int, blocks: list[int],
     return kept
 
 
-@dataclass(eq=False, slots=True)
-class _Prefix:
-    """A prefix in a DS walk: its neighbour masks, an upper bound on
-    (N(>a), N(<a)) at each threshold a, its parent, and its charpoly
-    coefficients once computed."""
-
-    masks: list[int]
-    bounds: tuple[tuple[int, int], ...]
-    parent: Optional["_Prefix"]
-    coeffs: Optional[list[int]] = None
-
-
 class _InterlacingCut:
     """Drops the prefixes of a DS walk that have no extension cospectral with
     the query G, and counts its work.
@@ -148,13 +136,9 @@ class _InterlacingCut:
     `thresholds` holds (a, N_G(>a), N_G(<a)) for each a tested; any finite
     set of thresholds gives a sound cut.
 
-    Slack rule: adding one vertex raises N(>a) and N(<a) by at most 1 each
-    (interlacing for a principal submatrix of co-order 1).  So each prefix
-    carries upper bounds, its parent's plus one, and is counted exactly only
-    at a threshold where its parent's bound already sits on G's.  The counts
-    come from `real_rooted_counts` on its charpoly, which is one Berkowitz
-    level above its parent's; a charpoly is computed only when a count needs
-    it, and at most once per prefix.
+    Each prefix carries its charpoly coefficients, one Berkowitz level above
+    its parent's, and is counted exactly by `real_rooted_counts` at every
+    threshold.  With no thresholds nothing is computed.
     """
 
     def __init__(self, thresholds: tuple[tuple[int, int, int], ...]) -> None:
@@ -163,37 +147,20 @@ class _InterlacingCut:
         self.cut = 0     # prefixes dropped
         self.levels = 0  # Berkowitz levels computed
 
-    def root(self) -> _Prefix:
-        """The one-vertex prefix, whose only eigenvalue is 0; every G admits it."""
-        return _Prefix([0], tuple((int(a < 0), int(a > 0)) for a, _, _ in self.thresholds),
-                       None, [1, 0])
-
-    def admit(self, parent: _Prefix, masks: list[int]) -> Optional[_Prefix]:
-        """The prefix given by masks, one vertex above parent, or None if it is cut."""
-        child = _Prefix(masks, (), parent)
-        bounds = []
-        poly = None
-        for (a, above, below), (up, down) in zip(self.thresholds, parent.bounds):
-            if up < above and down < below:
-                bounds.append((up + 1, down + 1))
-                continue
-            if poly is None:
-                poly = IntPolynomial(tuple(self._coeffs(child)))
-            up, at = real_rooted_counts(poly, a)  # exact counts replace the bounds
-            down = len(masks) - up - at
-            if up > above or down > below:
+    def admit(self, coeffs: Sequence[int], masks: list[int]) -> Optional[Sequence[int]]:
+        """The charpoly coefficients of the prefix given by masks, from coeffs,
+        those of its parent; None if the prefix is cut.  With no thresholds
+        the parent's pass through uncomputed."""
+        if self.thresholds:
+            coeffs = berkowitz_level(coeffs, masks)
+            self.levels += 1
+        for a, above, below in self.thresholds:
+            up, at = real_rooted_counts(coeffs, a)
+            if up > above or len(masks) - up - at > below:
                 self.cut += 1
                 return None
-            bounds.append((up, down))
-        child.bounds = tuple(bounds)
         self.tests += 1
-        return child
-
-    def _coeffs(self, prefix: _Prefix) -> list[int]:
-        if prefix.coeffs is None:
-            prefix.coeffs = berkowitz_level(self._coeffs(prefix.parent), prefix.masks)
-            self.levels += 1
-        return prefix.coeffs
+        return coeffs
 
 
 def _walk(n: int, edges: Optional[int] = None, cut: Optional[_InterlacingCut] = None,
@@ -235,21 +202,23 @@ def _walk(n: int, edges: Optional[int] = None, cut: Optional[_InterlacingCut] = 
     rule and the canonicity test share them.
     """
     out: list = []
-    stack = [(root, None if cut is None else cut.root())]
+    # a cut walk's root carries x, the one-vertex prefix's charpoly: every G admits it
+    stack = [(root, None if cut is None else (1, 0))]
     while stack:
-        state, prefix = stack.pop()
+        state, coeffs = stack.pop()
         j, key, masks, twins = state
         if j in (split, n):  # a unit, or order 1 (edges, if set, is 0: the callers check it)
             out.append(key if split is None else state)
             continue
         tested = []
-        children = {}
+        children = {}  # block -> the cut child's masks and charpoly
         for b in _blocks(n, edges, j, key, twins):
             if cut is not None:
-                child = cut.admit(prefix, add_column(masks, b))
+                new_masks = add_column(masks, b)
+                child = cut.admit(coeffs, new_masks)
                 if child is None:
                     continue  # no extension is cospectral with the query
-                children[b] = child
+                children[b] = (new_masks, child)
             tested.append(b)
         # no extension of a non-canonical prefix is canonical
         kept = _canonical_blocks(j, masks, key, tested, twins)
@@ -257,8 +226,7 @@ def _walk(n: int, edges: Optional[int] = None, cut: Optional[_InterlacingCut] = 
             out += [(key << j) | b for b in kept]
             continue
         for b in reversed(kept):  # the first child on top: depth first, ascending
-            child = children.get(b)
-            new_masks = add_column(masks, b) if child is None else child.masks
+            new_masks, child = children.get(b) or (add_column(masks, b), None)
             stack.append(((j + 1, (key << j) | b, new_masks, extension_twins(twins, new_masks)),
                           child))
     return out
@@ -348,7 +316,10 @@ def cospectral_classes(n: int, workers: int = 1) -> EnumerationReport:
 
 @dataclass(frozen=True)
 class DsStats:
-    """The work of one DS search, counted on its walk's interlacing cut."""
+    """The work of one DS search, counted on its walk's interlacing cut: the
+    prefixes admitted to their canonicity test, the prefixes cut, the layer's
+    classes that survive, and the Berkowitz levels, one per prefix counted
+    (none when the query has no integer eigenvalue, hence no threshold)."""
 
     canonicity_tests: int
     prefixes_cut: int
@@ -377,16 +348,20 @@ class DsVerdict:
         }
 
 
-def _integer_eigenvalue_bounds(g: Graph, poly: IntPolynomial) -> tuple[tuple[int, int, int], ...]:
+def _integer_eigenvalue_bounds(g: Graph, coeffs: Sequence[int]) -> tuple[tuple[int, int, int], ...]:
     """(a, N_G(>a), N_G(<a)) for each integer eigenvalue a of g, ascending,
-    where poly is g's charpoly.  Every eigenvalue lies in [-D, D], D the
-    largest degree, so only those integers are tried."""
+    where coeffs are g's charpoly coefficients.  Every eigenvalue lies in
+    [-D, D], D the largest degree, so only those integers are tried, each by
+    one Horner evaluation."""
     n = g.order
     out = []
     degree = max(g.degrees())
     for a in range(-degree, degree + 1):
-        if poly.evaluate(a) == 0:
-            above, at = real_rooted_counts(poly, a)
+        value = 0
+        for c in coeffs:
+            value = value * a + c
+        if value == 0:
+            above, at = real_rooted_counts(coeffs, a)
             out.append((a, above, n - above - at))
     return tuple(out)
 
@@ -423,8 +398,8 @@ def is_ds(g: Graph) -> DsVerdict:
             f"{burnside_layer_counts(n)[e]} classes (Polya) at worst; "
             "this can take a while", ResourceWarning, stacklevel=2)
     masks = g.neighbor_masks()
-    poly = IntPolynomial(berkowitz_charpoly(masks))
-    cut = _InterlacingCut(_integer_eigenvalue_bounds(g, poly))
+    coeffs = berkowitz_charpoly(masks)
+    cut = _InterlacingCut(_integer_eigenvalue_bounds(g, coeffs))
     keys = _walk(n, e, cut)
     stats = DsStats(canonicity_tests=cut.tests, prefixes_cut=cut.cut, survivors=len(keys),
                     berkowitz_levels=cut.levels)
@@ -440,11 +415,11 @@ def is_ds(g: Graph) -> DsVerdict:
     if not own:
         raise SpecGraphError(
             f"layer (n={n}, e={e}): the query's own class did not survive the search")
-    if own != [poly.coeffs]:
+    if own != [coeffs]:
         raise SpecGraphError(
             f"layer (n={n}, e={e}): the survivors' charpoly of the query's own class "
             "differs from its Berkowitz charpoly")
-    mates = tuple(h for h, p in zip(survivors, polys) if p == poly.coeffs and h.bits != own_key)
+    mates = tuple(h for h, p in zip(survivors, polys) if p == coeffs and h.bits != own_key)
     return DsVerdict(is_ds=not mates, mates=mates, searched_order=n, stats=stats)
 
 

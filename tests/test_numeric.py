@@ -36,7 +36,7 @@ def test_integer_eigenvalues_are_exact_and_labelling_free():
                 if abs(v - round(v)) <= 1e-9:
                     assert v == round(v) and str(v) != "-0.0"
             for c in range(-n, n + 1):
-                assert values.count(c) == real_rooted_counts(poly, c)[1]
+                assert values.count(c) == real_rooted_counts(poly.coeffs, c)[1]
             perm = list(range(n))
             rng.shuffle(perm)
             for a, b in zip(values, eigenvalues(relabel(g, perm)).values):
@@ -106,6 +106,17 @@ def test_count_with_float_threshold_counts_positives(rng):
         if g.edge_count:
             assert count_geq(g, 1e-9) >= 1
     assert count_geq(empty_graph(4), 1e-9) == 0
+
+
+def test_count_takes_a_float_at_its_exact_value_and_refuses_non_finite_thresholds():
+    k3 = complete_graph(3)  # eigenvalues 2, -1, -1
+    assert count_geq(k3, -1.0) == 3 and count_leq(k3, -1.0) == 2
+    assert count_geq(k3, 2.0) == 1 and count_leq(k3, 2.0 - 2 ** -50) == 2
+    for bad in (float("nan"), math.inf, -math.inf, True, "1", None):
+        with pytest.raises(ParameterError, match="finite"):
+            count_geq(k3, bad)
+        with pytest.raises(ParameterError, match="finite"):
+            count_leq(k3, bad)
 
 
 def test_count_exact_matches_numeric(rng):

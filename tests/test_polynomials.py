@@ -14,7 +14,7 @@ X = IntPolynomial.x()
 
 def leq_geq(p, a):
     """(roots <= a, roots >= a) with multiplicity, from real_rooted_counts."""
-    above, at = real_rooted_counts(p, a)
+    above, at = real_rooted_counts(p.coeffs, a)
     return p.degree - above, above + at
 
 
@@ -54,8 +54,8 @@ def test_root_counting_known_polynomials():
     assert leq_geq(triangle, -1) == (2, 3)
     assert leq_geq(triangle, 0) == (2, 1)
     assert leq_geq(triangle, 2)[0] == 3
-    assert [real_rooted_counts(triangle, a)[1] for a in (-1, 2, 5)] == [2, 1, 0]
-    assert real_rooted_counts(X ** 5, 0) == (0, 5)
+    assert [real_rooted_counts(triangle.coeffs, a)[1] for a in (-1, 2, 5)] == [2, 1, 0]
+    assert real_rooted_counts((X ** 5).coeffs, 0) == (0, 5)
 
 
 def test_root_counting_with_fraction_threshold():

@@ -415,7 +415,14 @@ def test_is_ds_caps_its_order():
 def test_ds_stats_are_pinned_and_kept_out_of_equality_and_json():
     star = is_ds(star_graph(7))
     assert star.stats == search.DsStats(canonicity_tests=38, prefixes_cut=148, survivors=1,
-                                        berkowitz_levels=184)
+                                        berkowitz_levels=186)
+    with pytest.warns(ResourceWarning):
+        square = is_ds(star_graph(9))  # thresholds -3, 0 and 3
+    assert square.stats == search.DsStats(canonicity_tests=70, prefixes_cut=482, survivors=2,
+                                          berkowitz_levels=552)
+    # no threshold: a plain layer sweep, which computes no charpoly
+    assert is_ds(path_graph(4)).stats == search.DsStats(
+        canonicity_tests=9, prefixes_cut=0, survivors=3, berkowitz_levels=0)
     book = is_ds(pyramid_graph(7, 2))
     assert book.stats == search.DsStats(canonicity_tests=33, prefixes_cut=80, survivors=1,
                                         berkowitz_levels=113)
@@ -426,12 +433,12 @@ def test_ds_stats_are_pinned_and_kept_out_of_equality_and_json():
 def test_interlacing_thresholds_are_the_integer_eigenvalues():
     bounds = search._integer_eigenvalue_bounds
     star = star_graph(7)
-    assert bounds(star, charpoly(star)) == ((0, 1, 1),)
+    assert bounds(star, charpoly(star).coeffs) == ((0, 1, 1),)
     pyramid = pyramid_graph(7, 3)  # eigenvalues 1 +- sqrt(13), -1, -1, 0, 0, 0
-    assert bounds(pyramid, charpoly(pyramid)) == ((-1, 4, 1), (0, 1, 3))
+    assert bounds(pyramid, charpoly(pyramid).coeffs) == ((-1, 4, 1), (0, 1, 3))
     square = star_graph(9)  # eigenvalues -3, 0 (8 times), 3
-    assert bounds(square, charpoly(square)) == ((-3, 9, 0), (0, 1, 1), (3, 0, 9))
-    assert bounds(path_graph(4), charpoly(path_graph(4))) == ()
+    assert bounds(square, charpoly(square).coeffs) == ((-3, 9, 0), (0, 1, 1), (3, 0, 9))
+    assert bounds(path_graph(4), charpoly(path_graph(4)).coeffs) == ()
 
 
 def test_is_ds_refuses_a_layer_short_of_its_polya_count(monkeypatch, capsys):
@@ -439,7 +446,7 @@ def test_is_ds_refuses_a_layer_short_of_its_polya_count(monkeypatch, capsys):
     # whole layer (4, 3): P4, the star with 3 leaves and K3 + K1
     from specgraph.cli import main
     query = path_graph(4)
-    assert search._integer_eigenvalue_bounds(query, charpoly(query)) == ()
+    assert search._integer_eigenvalue_bounds(query, charpoly(query).coeffs) == ()
     _refuse_key(monkeypatch, canonical_form(disjoint_union(cycle_graph(3), empty_graph(1))).key)
     with pytest.raises(SpecGraphError, match=r"\(n=4, e=3\) has 2 classes, but Polya counts 3"):
         is_ds(query)
