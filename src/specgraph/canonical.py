@@ -57,11 +57,13 @@ maximal set, so w's sets, which lack u, are dead ends.
 
 Orderly generation asks, for a canonical prefix H of order j with minimal
 key K, which blocks b make K' = (K << j) | b the minimal key of H+b, the
-graph H plus a vertex v = j with column block b.  canonical_blocks answers for
-a list of blocks with one walk: the search above run on H, bounded by K.  As
-K is H's minimal key, the walk's nodes are exactly the tied ones, cells
-included: each stands for the orderings of H's first vertices that its cells
-allow, all with K's prefix.  Any ordering of H+b puts v at some position p,
+graph H plus a vertex v = j with column block b.  canonical_blocks answers
+for a list of blocks, the walk's one canonicity entry.  Fewer than
+SHARED_SEARCH_BLOCKS blocks get one whole search of H+b each, bounded by K'.
+More share one walk: the search above run on H, bounded by K.  As K is H's
+minimal key, the walk's nodes are exactly the tied ones, cells included:
+each stands for the orderings of H's first vertices that its cells allow,
+all with K's prefix.  Any ordering of H+b puts v at some position p,
 and only an ordering whose string is at most K' matters.
 
 - p < a, the size of H's largest independent sets: the depth of K's first
@@ -101,13 +103,13 @@ The walk serves all blocks at once.  Block i is bit i of an int, and the
 walk's masks hold above bit j the set of blocks that see each vertex, so the
 comparison at a node costs O(p) big-int operations for all blocks together,
 and a refuted block drops out of the walk.  Over a cell the bit at position
-r holds the blocks that see at least c - r of it, counted once per cell.
-The ties wait until the walk ends and are searched longest start first, the
-leading-set search last, so the cheap ones go first: a block that the walk
-or a cheap search refutes is never searched from a short start.  The
-leading-set search is for the blocks that the walk keeps and that one
-enumeration of H's independent (a - 1)-sets finds: each set takes the blocks
-that see none of its vertices, one AND per vertex.
+r holds the blocks that see at least c - r of it.  The ties wait until the
+walk ends and are searched longest start first, the leading-set search
+last, so the cheap ones go first: a block that the walk or a cheap search
+refutes is never searched from a short start.  The leading-set search is
+for the blocks that the walk keeps and that one enumeration of H's
+independent (a - 1)-sets finds: each set takes the blocks that see none of
+its vertices, one AND per vertex.
 
 Twins are handled per block.  Twins u and w of H stay twins of H+b iff b
 holds both or neither, and only then does swapping them map the walk's
@@ -128,6 +130,16 @@ from .errors import OrderCapError
 from .graphs import Graph, add_column, pair_count
 
 CANONICAL_ORDER_CAP = 12  # canonical forms, isomorphism tests and DS searches
+# A prefix with this many candidate blocks or more tests them in one shared
+# walk (canonical_blocks), and fewer with one whole search each: the walk
+# costs a search of H's tied orderings per prefix, and each block it keeps
+# whose new vertex lies in a maximum independent set still costs a search
+# with that vertex in the leading set.  In the order-8 census 93% of the
+# tests sit at prefixes with 8 blocks or more; the perfbench DS walks have at
+# most 7, and a threshold of 1 made their 13 verdicts slower in-process
+# (33.9-47.9 ms against 28.4-29.6 ms at 8, 3 alternating processes each, the
+# minimum of 5 rounds).
+SHARED_SEARCH_BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -191,12 +203,13 @@ class _Search:
     """One search of the least bitstring over the orderings of the graph of
     order n given by masks, bounded by bound (module docstring); twins, if
     given, are the graph's twin masks.  Its entries are least for min_key,
-    below for is_min_key, and walk and below_from for the walk and the tie
-    searches of canonical_blocks.  Each runs once on a fresh object, but
-    below_from runs again until it stops below bound, the leading set last."""
+    below for is_min_key and the few-block searches of canonical_blocks, and
+    walk and below_from for its shared walk and tie searches.  Each runs
+    once on a fresh object, but below_from runs again until it stops below
+    bound, the leading set last."""
 
     __slots__ = ("n", "masks", "twins", "shift", "bound", "best", "stop_below", "made",
-                 "columns", "alive", "ties", "top", "leading")
+                 "alive", "ties", "top", "leading")
 
     def __init__(self, n: int, masks: list[int], bound: int,
                  twins: Optional[list[int]] = None) -> None:
@@ -205,7 +218,6 @@ class _Search:
         self.shift = _shifts(n)
         self.stop_below = False  # stop at the first prefix below bound's
         self.made: dict[int, tuple[int, int, tuple[int, ...]]] = {}
-        self.columns: dict[int, list[int]] = {}
         self.alive = 0  # a walk's blocks not refuted yet
         self.ties: list = []  # a walk's (node, the blocks that tie there)
         self.top = 0  # the size of the largest independent sets found
@@ -314,20 +326,18 @@ class _Search:
         against its own block b after a whole ordering (depth n), for the
         blocks of active: drop the blocks below it from alive, append the node
         and the blocks that tie to ties, and return those still alive."""
-        n, masks, columns = self.n, self.masks, self.columns
+        n, masks = self.n, self.masks
         xs = []  # position k: the blocks whose v sees it, non-neighbours first over a cell
         for cell, size, slices in cells:
-            if cell not in columns:
-                at_least = [-1] + [0] * size  # entry m: the blocks that see m or more of the cell
-                rest = cell
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    x = masks[low.bit_length() - 1] >> n
-                    for m in range(size, 0, -1):
-                        at_least[m] |= at_least[m - 1] & x
-                columns[cell] = at_least[:0:-1]
-            xs += columns[cell]
+            at_least = [-1] + [0] * size  # entry m: the blocks that see m or more of the cell
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                x = masks[low.bit_length() - 1] >> n
+                for m in range(size, 0, -1):
+                    at_least[m] |= at_least[m - 1] & x
+            xs += at_least[:0:-1]
         xs += [s >> n for s in placed]
         if depth < n:  # bound's block at depth, a bit for every block alike
             target = self.bound >> self.shift[depth]
@@ -503,6 +513,13 @@ def _missed(need: int, free: int, miss: int, found: int, masks: list[int],
     return found
 
 
+def _extension_search(j: int, masks: list[int], key: int, b: int, twins: list[int]) -> _Search:
+    """The search of H+b bounded by (key << j) | b, where H is the graph of
+    order j given by masks, with minimal key key and twin masks twins."""
+    ext = add_column(masks, b)
+    return _Search(j + 1, ext, (key << j) | b, extension_twins(twins, ext))
+
+
 def canonical_blocks(j: int, masks: list[int], key: int, blocks: Sequence[int],
                      twins: Optional[list[int]] = None) -> list[int]:
     """The blocks b of `blocks`, in their order, for which (key << j) | b is
@@ -510,14 +527,15 @@ def canonical_blocks(j: int, masks: list[int], key: int, blocks: Sequence[int],
     whose bitstring key is its minimal key, and H+b adds vertex j with
     column block b; twins, if given, are H's twin masks.
 
-    One walk of H's tied orderings serves every block, and the search with
-    v in the leading set runs only for the blocks whose v lies in a maximum
-    independent set of H+b (module docstring).
+    SHARED_SEARCH_BLOCKS or more blocks share one walk of H's tied
+    orderings, and the search with v in the leading set runs only for the
+    blocks whose v lies in a maximum independent set of H+b (module
+    docstring); fewer get one whole search of H+b each.
     """
-    if not blocks:
-        return []
     if twins is None:
         twins = _twin_masks(j, masks)
+    if len(blocks) < SHARED_SEARCH_BLOCKS:
+        return [b for b in blocks if not _extension_search(j, masks, key, b, twins).below()]
     sees = _seen_by(j, blocks)
     walk = _Search(j, [m | s << j for m, s in zip(masks, sees)], key, twins)
     alive = walk.walk((1 << len(blocks)) - 1)
@@ -531,9 +549,7 @@ def canonical_blocks(j: int, masks: list[int], key: int, blocks: Sequence[int],
             tied ^= low
             i = low.bit_length() - 1
             if i not in searches:
-                ext = add_column(masks, blocks[i])
-                searches[i] = _Search(j + 1, ext, (key << j) | blocks[i],
-                                      extension_twins(twins, ext))
+                searches[i] = _extension_search(j, masks, key, blocks[i], twins)
             if searches[i].below_from(start):
                 alive ^= low
     return [b for i, b in enumerate(blocks) if alive >> i & 1]

@@ -228,9 +228,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_witness_cycle(args) -> int:
     g, _ = _resolve_graph(args, LONG_ODD_CYCLE_ORDER_CAP)
-    cycle = find_long_odd_cycle(g)
-    _emit({"graph6": graph6_encode(g),
-           "long_odd_cycle": list(cycle) if cycle else None}, args.format)
+    _emit({"graph6": graph6_encode(g), "long_odd_cycle": find_long_odd_cycle(g)}, args.format)
     return 0
 
 

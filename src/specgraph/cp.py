@@ -1,10 +1,12 @@
 """Complete-positivity classification via long-odd-cycle detection.
 
 A graph is CP exactly when it contains no odd cycle of length >= 5 as a
-subgraph.  Detection is an exhaustive simple-path DFS with two prunings
-(bipartite components are skipped; vertices are peeled while their degree
-stays below 2), validated against a line-graph perfection cross-check on
-small instances.
+subgraph.  Detection is one pass, is_cp_graph's, and find_long_odd_cycle
+returns its witness.  Each odd component (bipartite ones are skipped) is
+peeled to its 2-core, then an exhaustive simple-path DFS runs from its lowest
+vertex, which is dropped, with a new peel, when no long odd cycle passes
+through it.  The pass is validated against a line-graph perfection
+cross-check on small instances.
 """
 
 from __future__ import annotations
@@ -56,34 +58,18 @@ def is_bipartite(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
 
 
 def _peel_low_degree(masks: list[int], active: int) -> int:
-    """Iteratively drop vertices with fewer than 2 active neighbors."""
-    changed = True
-    while changed:
-        changed = False
-        v = 0
-        rest = active
+    """The 2-core of the active vertex set: each pass drops every vertex
+    with fewer than 2 active neighbours, until a pass drops none."""
+    while True:
+        low, rest = 0, active
         while rest:
-            if rest & 1 and (masks[v] & active).bit_count() < 2:
-                active &= ~(1 << v)
-                changed = True
-            rest >>= 1
-            v += 1
-    return active
-
-
-def _dfs_long_odd_cycle(masks: list[int], active: int) -> Optional[list[int]]:
-    """Exhaustive anchored simple-path search inside the active vertex set."""
-    work = active
-    while work:
-        work = _peel_low_degree(masks, work)
-        if work.bit_count() < 5:
-            return None
-        anchor = (work & -work).bit_length() - 1  # lowest active vertex
-        found = _paths_from(masks, work, [anchor], anchor, 1 << anchor)
-        if found is not None:
-            return found
-        work &= ~(1 << anchor)  # remaining cycles avoid this anchor
-    return None
+            bit = rest & -rest
+            rest ^= bit
+            if (masks[bit.bit_length() - 1] & active).bit_count() < 2:
+                low |= bit
+        if not low:
+            return active
+        active ^= low
 
 
 def _paths_from(masks: list[int], active: int, path: list[int], v: int,
@@ -107,17 +93,24 @@ def _paths_from(masks: list[int], active: int, path: list[int], v: int,
 
 def _long_odd_cycle(masks: list[int],
                     components: list[tuple[int, int, bool]]) -> Optional[list[int]]:
+    """An odd cycle of length >= 5 as a vertex list, or None: each odd
+    component is peeled to its 2-core and searched exhaustively from its
+    lowest vertex, which is dropped when no such cycle passes through it."""
     for side0, side1, odd in components:
-        component = side0 | side1
-        if odd and component.bit_count() >= 5:
-            found = _dfs_long_odd_cycle(masks, component)
+        work = _peel_low_degree(masks, side0 | side1) if odd else 0
+        while work.bit_count() >= 5:
+            anchor = (work & -work).bit_length() - 1
+            found = _paths_from(masks, work, [anchor], anchor, 1 << anchor)
             if found is not None:
                 return found
+            # the cycles left avoid the anchor
+            work = _peel_low_degree(masks, work & ~(1 << anchor))
     return None
 
 
 def find_long_odd_cycle(g: Graph) -> Optional[list[int]]:
-    """A simple odd cycle of length >= 5 given as a vertex list, or None.
+    """A simple odd cycle of length >= 5 given as a vertex list, or None:
+    is_cp_graph's witness.
 
     "Contains" means as a subgraph, not induced.  Exhaustive within the order
     cap.
@@ -125,8 +118,8 @@ def find_long_odd_cycle(g: Graph) -> Optional[list[int]]:
     if g.order > LONG_ODD_CYCLE_ORDER_CAP:
         raise OrderCapError(
             f"long-odd-cycle search capped at order {LONG_ODD_CYCLE_ORDER_CAP}")
-    masks = g.neighbor_masks()
-    return _long_odd_cycle(masks, colour_components(masks, (1 << g.order) - 1))
+    witness = is_cp_graph(g).witness
+    return None if witness is None else list(witness)
 
 
 def check_long_odd_cycle_witness(g: Graph, cycle: Sequence[int]) -> bool:

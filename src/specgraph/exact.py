@@ -252,7 +252,7 @@ def charpoly_pyramid_factored(n: int, k: int) -> FactoredIntPolynomial:
         raise ParameterError(f"pyramid requires 1 <= k < n, got (n={n}, k={k})")
     factors = []
     if n - k - 1 > 0:
-        factors.append((IntPolynomial.x(), n - k - 1))
+        factors.append((IntPolynomial.of(1, 0), n - k - 1))
     if k - 1 > 0:
         factors.append((IntPolynomial.of(1, 1), k - 1))
     factors.append((IntPolynomial.of(1, 1 - k, -(n - k) * k), 1))
@@ -405,11 +405,6 @@ class ClosedFormSpectrum:
             item["multiplicity"] = mult
             out.append(item)
         return out
-
-    def __str__(self) -> str:
-        return "{" + ", ".join(
-            f"({value})^{mult}" if mult != 1 else f"({value})"
-            for value, mult in self.entries) + "}"
 
 
 def _split_into_small_factors(p: IntPolynomial, root_bound: int) -> Optional[ClosedFormSpectrum]:

@@ -78,8 +78,8 @@ def _value(raw: bytes) -> int:
     return int("".join([_SIX_BITS[byte] for byte in raw]) or "0", 2)
 
 
-def to_dot(g: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(g: Graph) -> str:
+    lines = ["graph G {"]
     lines += [f"  {v};" for v in range(g.order)]
     lines += [f"  {u} -- {v};" for u, v in g.edges()]
     lines.append("}")

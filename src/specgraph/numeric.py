@@ -26,6 +26,7 @@ from .polynomials import real_rooted_counts
 
 CLUSTER_TOL = 1e-7
 SNAP_TOL = 1e-9
+INTERLACING_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -33,10 +34,6 @@ class NumericSpectrum:
     """Eigenvalues sorted descending; `clustered` groups them within CLUSTER_TOL."""
 
     values: tuple[float, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
 
     def clustered(self) -> tuple[tuple[float, int], ...]:
         """Multiset view: (representative value, multiplicity), descending."""
@@ -50,12 +47,6 @@ class NumericSpectrum:
         if group:
             out.append((sum(group) / len(group), len(group)))
         return tuple(out)
-
-    def to_json(self) -> dict:
-        return {
-            "values": list(self.values),
-            "clustered": [[v, m] for v, m in self.clustered()],
-        }
 
 
 def eigenvalues(g: Graph) -> NumericSpectrum:
@@ -105,11 +96,12 @@ def count_geq(g: Graph, a: Threshold) -> int:
     return above + at
 
 
-def verify_interlacing(g: Graph, subset: Iterable[int], tol: float = 1e-8) -> bool:
+def verify_interlacing(g: Graph, subset: Iterable[int]) -> bool:
     """Check the interlacing inequalities between g and its induced subgraph.
 
     With full eigenvalues l_1 >= ... >= l_n and subgraph eigenvalues
-    m_1 >= ... >= m_k: l_{n-k+i} - tol <= m_i <= l_i + tol for every i.
+    m_1 >= ... >= m_k: l_{n-k+i} - tol <= m_i <= l_i + tol for every i,
+    where tol is INTERLACING_TOL.
     """
     vs = sorted(set(subset))
     if not vs:
@@ -120,7 +112,7 @@ def verify_interlacing(g: Graph, subset: Iterable[int], tol: float = 1e-8) -> bo
     sub = eigenvalues(induced_subgraph(g, vs)).values
     n, k = len(full), len(sub)
     return all(
-        full[n - k + i] - tol <= sub[i] <= full[i] + tol
+        full[n - k + i] - INTERLACING_TOL <= sub[i] <= full[i] + INTERLACING_TOL
         for i in range(k)
     )
 

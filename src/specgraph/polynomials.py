@@ -37,10 +37,6 @@ class IntPolynomial:
     def of(cls, *coeffs: int) -> "IntPolynomial":
         return cls(tuple(int(c) for c in coeffs))
 
-    @classmethod
-    def x(cls) -> "IntPolynomial":
-        return cls((1, 0))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -64,17 +60,6 @@ class IntPolynomial:
         for c in self.coeffs:
             acc = acc * x + c
         return acc
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        pad = len(a) - len(b)
-        return IntPolynomial(tuple(a[i] + (b[i - pad] if i >= pad else 0)
-                                   for i in range(len(a))))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + IntPolynomial(tuple(-c for c in other.coeffs))
 
     def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         if isinstance(other, int):
@@ -101,24 +86,6 @@ class IntPolynomial:
     def to_json(self) -> list[int]:
         return list(self.coeffs)
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            p = self.degree - i
-            mag = abs(c)
-            if p == 0:
-                term = str(mag)
-            else:
-                var = "x" if p == 1 else f"x^{p}"
-                term = var if mag == 1 else f"{mag}*{var}"
-            parts.append(("- " if c < 0 else "+ ") + term)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
 
 @dataclass(frozen=True)
 class FactoredIntPolynomial:
@@ -135,10 +102,6 @@ class FactoredIntPolynomial:
     def to_json(self) -> list[dict]:
         return [{"coefficients": list(base.coeffs), "exponent": exp}
                 for base, exp in self.factors]
-
-    def __str__(self) -> str:
-        return " * ".join(f"({base})^{exp}" if exp != 1 else f"({base})"
-                          for base, exp in self.factors)
 
 
 def divmod_by_monic(p: IntPolynomial, d: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:

@@ -8,8 +8,8 @@ test: the column floor (a block below twice the previous block is never
 canonical), the edge-count window of a layer sweep, and the twin rule (a
 block that holds a twin of the prefix but not its later twin is never
 canonical).  The blocks that pass the rules are tested for canonicity
-together, one call per prefix (_canonical_blocks): in one walk of the
-prefix's tied orderings when there are enough of them, else one search each.
+together, in one canonical_blocks call per prefix, which alone chooses
+between one walk of the prefix's tied orderings and one search per block.
 
 A DS search is the same walk with a fourth rule, the interlacing cut: a
 prefix whose eigenvalue counts break Cauchy interlacing against the query's
@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Iterable, Optional, Sequence
 
-from .canonical import (CANONICAL_ORDER_CAP, canonical_blocks, extension_twins, is_min_key,
-                        min_key)
+from .canonical import CANONICAL_ORDER_CAP, canonical_blocks, extension_twins, min_key
 from .cp import is_cp_graph
 from .errors import OrderCapError, ParameterError, SpecGraphError
 from .exact import berkowitz_charpoly, berkowitz_level, charpolys
@@ -44,15 +43,6 @@ ENUMERATION_HARD_CAP = 8
 # The prefix order at which a pooled census splits into work units: at order
 # 8, splits at 4-6 (11-156 units) time alike, 3 and 7 slower (README).
 _SPLIT_ORDER = 5
-# A prefix with this many candidate blocks or more tests them in one shared
-# walk (canonical.canonical_blocks), and fewer one by one: the walk costs a
-# search of H's tied orderings per prefix, and each block it keeps whose new
-# vertex lies in a maximum independent set still costs a search with that
-# vertex in the leading set.  In the order-8 census 93% of the tests sit at
-# prefixes with 8 blocks or more; the perfbench DS walks have at most 7, and a
-# threshold of 1 made their 13 verdicts 16% slower in-process (37.5 against
-# 32.4 ms, medians of 10 processes, each the minimum of 5 rounds).
-SHARED_SEARCH_BLOCKS = 8
 
 _enum_cache: dict[int, tuple[Graph, ...]] = {}
 _class_cache: dict[int, "EnumerationReport"] = {}
@@ -97,25 +87,6 @@ def _blocks(n: int, edges: Optional[int], j: int, key: int, twins: list[int]) ->
         least = most - (pair_count(n) - pair_count(j + 1))
         blocks = [b for b in blocks if least <= b.bit_count() <= most]
     return _twin_rule(j, twins, blocks)
-
-
-def _canonical_blocks(j: int, masks: list[int], key: int, blocks: list[int],
-                      twins: list[int]) -> list[int]:
-    """The walk's canonicity test: the blocks b of `blocks` for which
-    (key << j) | b is canonical, where key is the canonical bitstring of the
-    prefix of order j given by masks, with twin masks twins.
-
-    SHARED_SEARCH_BLOCKS or more blocks share one walk of the prefix's tied
-    orderings (canonical_blocks); fewer are tested one by one.
-    """
-    if len(blocks) >= SHARED_SEARCH_BLOCKS:
-        return canonical_blocks(j, masks, key, blocks, twins)
-    kept = []
-    for b in blocks:
-        new_masks = add_column(masks, b)
-        if is_min_key(j + 1, new_masks, (key << j) | b, extension_twins(twins, new_masks)):
-            kept.append(b)
-    return kept
 
 
 class _InterlacingCut:
@@ -195,11 +166,11 @@ def _walk(n: int, edges: Optional[int] = None, cut: Optional[_InterlacingCut] = 
     The cut, last of the rules, drops a block whose prefix it refutes before
     that prefix's canonicity test.
 
-    The blocks left are tested together, in one call per prefix
-    (_canonical_blocks), and the walk then descends into the canonical ones
-    in ascending order.  Each prefix carries its twin masks: the root's are
-    [0], and a child's come from its parent's by extension_twins, so the twin
-    rule and the canonicity test share them.
+    The blocks left are tested together, in one canonical_blocks call per
+    prefix, and the walk then descends into the canonical ones in ascending
+    order.  Each prefix carries its twin masks: the root's are [0], and a
+    child's come from its parent's by extension_twins, so the twin rule and
+    the canonicity test share them.
     """
     out: list = []
     # a cut walk's root carries x, the one-vertex prefix's charpoly: every G admits it
@@ -221,7 +192,7 @@ def _walk(n: int, edges: Optional[int] = None, cut: Optional[_InterlacingCut] = 
                 children[b] = (new_masks, child)
             tested.append(b)
         # no extension of a non-canonical prefix is canonical
-        kept = _canonical_blocks(j, masks, key, tested, twins)
+        kept = canonical_blocks(j, masks, key, tested, twins)
         if j + 1 == n and split is None:
             out += [(key << j) | b for b in kept]
             continue

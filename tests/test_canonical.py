@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import brute_force_isomorphic, edge_list, random_graph
-from specgraph import (Graph, OrderCapError, canonical_form, complement,
+from specgraph import (Graph, OrderCapError, canonical, canonical_form, complement,
                        complete_graph, cycle_graph, disjoint_union, empty_graph,
                        is_isomorphic, path_graph, pyramid_graph, relabel,
                        star_graph)
@@ -219,9 +219,11 @@ def test_bitstring_view():
     assert form.to_graph().order == 3
 
 
-def _assert_shared_search_matches_one_test_per_block(h):
+def _assert_shared_search_matches_one_test_per_block(monkeypatch, h):
     """canonical_blocks on the canonical prefix h, over every block, against
-    one is_min_key per block."""
+    one is_min_key per block.  The shared walk serves every list of blocks,
+    however short: the few-block path is is_min_key's own search."""
+    monkeypatch.setattr(canonical, "SHARED_SEARCH_BLOCKS", 1)
     j, masks = h.order, h.neighbor_masks()
     blocks = range(1 << j)
     one_by_one = [b for b in blocks if is_min_key(j + 1, add_column(masks, b), (h.bits << j) | b)]
@@ -238,12 +240,12 @@ def _maximum_independent_sets(masks):
     return [s for s in sets if s.bit_count() == top]
 
 
-def test_shared_search_matches_one_test_per_block_up_to_order_7():
+def test_shared_search_matches_one_test_per_block_up_to_order_7(monkeypatch):
     # every canonical prefix of order <= 7 and every block, not only the
     # blocks that the column floor and the twin rule leave to a sweep
     for j in range(1, 8):
         for h in enumerate_graphs(j):
-            _assert_shared_search_matches_one_test_per_block(h)
+            _assert_shared_search_matches_one_test_per_block(monkeypatch, h)
 
 
 def test_leading_blocks_are_those_whose_vertex_lies_in_a_maximum_independent_set():
@@ -261,7 +263,7 @@ def test_leading_blocks_are_those_whose_vertex_lies_in_a_maximum_independent_set
             assert _leading_blocks(j, masks, h.bits, sees, odd) == held & odd, (j, h.bits)
 
 
-def test_shared_search_matches_one_test_per_block_on_larger_prefixes(rng):
+def test_shared_search_matches_one_test_per_block_on_larger_prefixes(monkeypatch, rng):
     # seeded random prefixes of order 8 and 9, dense and sparse, each the
     # canonical form of a relabelled graph; and the twin-rich families up to
     # order 10
@@ -296,7 +298,7 @@ def test_shared_search_matches_one_test_per_block_on_larger_prefixes(rng):
     assert any(not s & lead for s in seen for lead in leads)
     prefixes.append(sparse)
     for h in prefixes:
-        _assert_shared_search_matches_one_test_per_block(h)
+        _assert_shared_search_matches_one_test_per_block(monkeypatch, h)
 
 
 def test_extension_twins_equal_a_fresh_build(rng):

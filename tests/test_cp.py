@@ -1,5 +1,8 @@
 """Complete-positivity classification and long-odd-cycle detection."""
 
+import hashlib
+import json
+import warnings
 from itertools import combinations
 
 import pytest
@@ -13,6 +16,10 @@ from specgraph import (OrderCapError, ParameterError, charpoly, complete_biparti
 from specgraph.cp import CpReason, check_long_odd_cycle_witness
 from specgraph.search import enumerate_graphs
 from specgraph.verify import _cycle_with_chord
+
+# sha256 of json.dumps([[n, bits, reason, witness], ...]) over every class of
+# orders 1-8, in enumeration order
+CP_VERDICTS_SHA256 = "80599dcf9557f863523a569672bf97faa816248ed1ad81e00a3ae0358213e7fc"
 
 
 def test_bipartite_detection():
@@ -102,6 +109,22 @@ def test_witness_present_iff_not_cp(rng):
         assert (verdict.witness is not None) == (not verdict.is_cp)
         if verdict.witness is not None:
             assert check_long_odd_cycle_witness(g, verdict.witness)
+
+
+def test_cp_verdicts_and_witnesses_are_pinned():
+    # a pass that anchors at another vertex, peels another core or walks the
+    # neighbours in another order changes a witness, and so the digest;
+    # find_long_odd_cycle must return the same witness as is_cp_graph
+    rows = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResourceWarning)  # unless the census is cached
+        for n in range(1, 9):
+            for g in enumerate_graphs(n):
+                verdict = is_cp_graph(g).to_json()
+                assert find_long_odd_cycle(g) == verdict["witness"]
+                rows.append([n, g.bits, verdict["reason"], verdict["witness"]])
+    assert (len(rows), sum(row[3] is not None for row in rows)) == (13598, 12327)
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == CP_VERDICTS_SHA256
 
 
 def test_chorded_cycles_are_not_cp_in_both_parities():

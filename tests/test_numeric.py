@@ -60,7 +60,7 @@ def test_spectrum_is_descending_and_traceless(rng):
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 9))
         spec = eigenvalues(g)
-        assert spec.order == g.order
+        assert len(spec.values) == g.order
         assert list(spec.values) == sorted(spec.values, reverse=True)
         assert abs(sum(spec.values)) < 1e-9
 

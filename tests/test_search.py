@@ -242,13 +242,13 @@ def _count_canonicity_tests(monkeypatch) -> list:
     """The keys of the sweep's canonicity tests, one per candidate block,
     appended as they are made."""
     calls = []
-    counted = search._canonical_blocks
+    counted = search.canonical_blocks
 
     def counting(j, masks, key, blocks, twins):
         calls.extend((key << j) | b for b in blocks)
         return counted(j, masks, key, blocks, twins)
 
-    monkeypatch.setattr(search, "_canonical_blocks", counting)
+    monkeypatch.setattr(search, "canonical_blocks", counting)
     return calls
 
 
@@ -269,12 +269,12 @@ def _count_leading_set_searches(monkeypatch) -> list:
 
 def _refuse_key(monkeypatch, lost):
     """Make the walk's canonicity test refuse the bitstring lost as well."""
-    tested = search._canonical_blocks
+    tested = search.canonical_blocks
 
     def refusing(j, masks, key, blocks, twins):
         return [b for b in tested(j, masks, key, blocks, twins) if (key << j) | b != lost]
 
-    monkeypatch.setattr(search, "_canonical_blocks", refusing)
+    monkeypatch.setattr(search, "canonical_blocks", refusing)
 
 
 def test_canonicity_test_counts_are_pinned(monkeypatch):
