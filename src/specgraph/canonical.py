@@ -142,7 +142,7 @@ CANONICAL_ORDER_CAP = 12  # canonical forms, isomorphism tests and DS searches
 SHARED_SEARCH_BLOCKS = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalForm:
     """Order plus the minimal bitstring, packed like Graph.bits."""
 

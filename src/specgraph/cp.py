@@ -30,7 +30,7 @@ class CpReason(str, Enum):
     LONG_ODD_CYCLE_FOUND = "long-odd-cycle-found"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CpVerdict:
     is_cp: bool
     reason: CpReason

@@ -3,8 +3,9 @@
 One routine computes the characteristic polynomial over the integers, so
 cospectrality is decided by integer equality and never by floating point:
 ``charpolys(graphs)`` takes a set of graphs of one order n up to
-``CHARPOLY_ORDER_CAP``, and ``charpoly(g)`` is the same routine on a batch of
-one, cached.  For each of a few primes p, it reduces the power traces
+``CHARPOLY_ORDER_CAP``, ``charpoly_rows(graphs)`` returns its result as one
+int64 array where one prime suffices, and ``charpoly(g)`` is the same routine
+on a batch of one, cached.  For each of a few primes p, it reduces the power traces
 p_k = tr(A^k) mod p and solves Newton's identities
 
     k c_k = -(p_2 c_{k-2} + ... + p_k c_0),   c_0 = 1,  c_1 = -p_1 = 0,
@@ -40,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -62,7 +63,7 @@ def hadamard_bound_squared(n: int) -> int:
     return max(math.comb(n, j) ** 2 * (j - 1) ** j for j in range(n + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Plan:
     """What charpolys needs at one order: the primes, the inverses, the first
     power to reduce, the chunk size and the CRT weights."""
@@ -105,17 +106,52 @@ def charpolys(graphs: Sequence[Graph]) -> list[tuple[int, ...]]:
     the primes of the order's plan (module docstring)."""
     if not graphs:
         return []
+    plan = _batch_plan(graphs)
+    if len(plan.primes) == 1:
+        return list(map(tuple, _rows(plan, graphs).tolist()))
+    return [coeffs for _, residues in _residue_chunks(plan, graphs)
+            for coeffs in _from_residues(plan, residues)]
+
+
+def charpoly_rows(graphs: Sequence[Graph]) -> np.ndarray:
+    """The charpolys of a nonempty batch of graphs of one order n as exact
+    int64 rows, shape (len(graphs), n + 1), highest degree first.  Only the
+    orders whose plan has one prime (n <= 12) have rows: there each residue's
+    symmetric lift is the coefficient itself.  A census groups these rows
+    without building a tuple per graph."""
+    plan = _batch_plan(graphs)
+    if len(plan.primes) > 1:
+        raise OrderCapError(
+            f"charpoly rows need a one-prime order; order {plan.order} needs "
+            f"{len(plan.primes)} primes")
+    return _rows(plan, graphs)
+
+
+def _batch_plan(graphs: Sequence[Graph]) -> _Plan:
+    """The plan of a nonempty batch's one order, refused past the cap."""
     n = graphs[0].order
     if any(g.order != n for g in graphs):
         raise ParameterError("charpolys needs graphs of one order")
     if n > CHARPOLY_ORDER_CAP:
         raise OrderCapError(f"charpolys capped at order {CHARPOLY_ORDER_CAP}")
-    plan = _plan(n)
-    out: list[tuple[int, ...]] = []
+    return _plan(n)
+
+
+def _residue_chunks(plan: _Plan, graphs: Sequence[Graph]) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, c_k mod p at [k, prime, graph]) for each chunk of the graphs."""
     for start in range(0, len(graphs), plan.chunk):
-        adj = adjacency_tensor(n, [g.bits for g in graphs[start:start + plan.chunk]])
-        out.extend(_from_residues(plan, _newton(plan, _power_traces(plan, adj))))
-    return out
+        adj = adjacency_tensor(plan.order, [g.bits for g in graphs[start:start + plan.chunk]])
+        yield start, _newton(plan, _power_traces(plan, adj))
+
+
+def _rows(plan: _Plan, graphs: Sequence[Graph]) -> np.ndarray:
+    """charpoly_rows under a one-prime plan: the residues are the lifts."""
+    p = plan.primes[0]
+    rows = np.empty((len(graphs), plan.order + 1), dtype=np.int64)
+    for start, residues in _residue_chunks(plan, graphs):
+        coeffs = residues[:, 0].T
+        rows[start:start + len(coeffs)] = np.where(coeffs > p // 2, coeffs - p, coeffs)
+    return rows
 
 
 @lru_cache(maxsize=32768)
@@ -160,11 +196,6 @@ def _newton(plan: _Plan, traces: np.ndarray) -> np.ndarray:
 def _from_residues(plan: _Plan, residues: np.ndarray) -> list[tuple[int, ...]]:
     """Each graph's coefficients as the symmetric residues mod M of their CRT
     lifts; residues is indexed [k, prime, graph]."""
-    if len(plan.primes) == 1:  # the residues are the lifts: stay in numpy
-        p = plan.primes[0]
-        coeffs = residues[:, 0]
-        coeffs = np.where(coeffs > p // 2, coeffs - p, coeffs)
-        return list(map(tuple, coeffs.T.tolist()))
     modulus, half, weights = plan.modulus, plan.modulus // 2, plan.weights
     out = []
     for graph in residues.transpose(2, 0, 1).tolist():
@@ -276,7 +307,7 @@ def _extract_square(d: int) -> tuple[int, int]:
     return f, rest
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadraticSurd:
     """(a + b sqrt(d)) / c with d squarefree > 1, b != 0, c > 0, gcd(a, b, c) = 1."""
 
@@ -340,7 +371,7 @@ def quadratic_roots(b: int, c: int) -> tuple[AlgebraicValue, AlgebraicValue]:
     return lo, hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClosedFormSpectrum:
     """Multiset of exact eigenvalues: ((value, multiplicity), ...) ascending."""
 

@@ -9,10 +9,11 @@ graph6 I/O) shares this single layout.
 
 Column j of the layout is the j-bit block of pairs (0, j) ... (j-1, j).  This
 module alone decodes the layout: into per-vertex neighbour masks
-(``column_blocks``, ``add_column``), from which every other adjacency view of
-one graph is built, and into the int64 adjacency tensor of one graph or a
-batch (``adjacency_tensor``).  ``has_edge`` stays on ``pair_index`` as their
-independent reference.
+(``Graph.neighbor_masks``, one pass over the columns into one list), from
+which every other adjacency view of one graph is built; into the masks of a
+prefix extended by one column (``add_column``); and into the int64 adjacency
+tensor of one graph or a batch (``adjacency_tensor``).  ``has_edge`` stays on
+``pair_index`` as their independent reference.
 """
 
 from __future__ import annotations
@@ -36,29 +37,22 @@ def pair_index(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
-def column_blocks(n: int, bits: int) -> list[int]:
-    """Entry j is column j of an order-n bitstring: the j-bit block of pairs
-    (0, j) ... (j-1, j), first pair most significant.  Entry 0 is empty."""
-    blocks = [0] * n
-    pos = pair_count(n)
-    for j in range(1, n):
-        pos -= j
-        blocks[j] = (bits >> pos) & ((1 << j) - 1)
-    return blocks
-
-
 def add_column(masks: list[int], block: int) -> list[int]:
     """The neighbour masks of vertices 0..j-1 extended by vertex j = len(masks),
-    whose column block is `block`: bit j-1-i of it is the pair (i, j)."""
-    j = len(masks)
+    whose column block is `block`."""
     out = masks + [0]
+    _set_column(out, len(masks), block)
+    return out
+
+
+def _set_column(masks: list[int], j: int, block: int) -> None:
+    """OR column j into masks in place: bit j-1-i of block is the pair (i, j)."""
     while block:
         low = block & -block
         block ^= low
         i = j - low.bit_length()
-        out[i] |= 1 << j
-        out[j] |= 1 << i
-    return out
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
 
 
 @cache
@@ -87,7 +81,7 @@ def adjacency_tensor(n: int, bits: Sequence[int]) -> np.ndarray:
     return adj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Immutable simple undirected graph: order + packed upper-triangle bits."""
 
@@ -139,10 +133,13 @@ class Graph:
         return bool((self.bits >> pos) & 1)
 
     def neighbor_masks(self) -> list[int]:
-        """Per-vertex adjacency as a bitmask over vertex indices."""
-        masks: list[int] = []
-        for block in column_blocks(self.order, self.bits):
-            masks = add_column(masks, block)
+        """Per-vertex adjacency as a bitmask over vertex indices, decoded
+        into one list column by column."""
+        masks = [0] * self.order
+        pos = pair_count(self.order)
+        for j in range(1, self.order):
+            pos -= j
+            _set_column(masks, j, (self.bits >> pos) & ((1 << j) - 1))
         return masks
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -180,7 +177,7 @@ class FamilyKind(str, Enum):
     PYRAMID = "pyramid"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FamilySpec:
     """A named graph family plus its integer parameters."""
 

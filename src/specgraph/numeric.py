@@ -29,7 +29,7 @@ SNAP_TOL = 1e-9
 INTERLACING_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumericSpectrum:
     """Eigenvalues sorted descending; `clustered` groups them within CLUSTER_TOL."""
 

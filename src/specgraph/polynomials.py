@@ -16,7 +16,7 @@ from .errors import ParameterError
 Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntPolynomial:
     """Integer-coefficient polynomial; coeffs highest degree first, no leading zeros."""
 
@@ -87,7 +87,7 @@ class IntPolynomial:
         return list(self.coeffs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FactoredIntPolynomial:
     """Product of integer polynomial factors with positive exponents."""
 

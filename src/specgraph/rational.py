@@ -22,7 +22,7 @@ def _coerce(value) -> Fraction:
     raise ParameterError(f"rational matrix entries must be int or Fraction, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RationalMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
 

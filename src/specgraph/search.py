@@ -30,10 +30,12 @@ from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .canonical import CANONICAL_ORDER_CAP, canonical_blocks, extension_twins, min_key
 from .cp import is_cp_graph
 from .errors import OrderCapError, ParameterError, SpecGraphError
-from .exact import berkowitz_charpoly, berkowitz_level, charpolys
+from .exact import berkowitz_charpoly, berkowitz_level, charpoly_rows, charpolys
 from .graphs import (Graph, add_column, complete_bipartite_graph, disjoint_union, empty_graph,
                      pair_count)
 from .polynomials import real_rooted_counts
@@ -241,7 +243,7 @@ def _enumerate(n: int, workers: int, edges: Optional[int]) -> tuple[Graph, ...]:
     return tuple(Graph(n, k) for k in keys)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnumerationReport:
     """Census of one order: all isomorphism classes grouped by exact charpoly."""
 
@@ -263,29 +265,41 @@ class EnumerationReport:
 
 
 def cospectral_classes(n: int, workers: int = 1) -> EnumerationReport:
-    """Partition the order-n isomorphism classes by exact characteristic polynomial."""
+    """Partition the order-n isomorphism classes by exact characteristic polynomial.
+
+    The charpolys stay int64 rows: a stable lexsort, first coefficient
+    primary, ranks them, and a class ends wherever two adjacent ranked rows
+    differ.  So the classes come ascending by coefficient tuple, each with
+    its members ascending by bitstring, as the census lists them, and only
+    the classes with a mate are built as tuples.
+    """
     _check_enumeration_args(n, workers)
     if n in _class_cache:
         return _class_cache[n]
     graphs = enumerate_graphs(n, workers=workers)
-    by_poly: dict[tuple[int, ...], list[Graph]] = {}
-    for g, coeffs in zip(graphs, charpolys(graphs)):
-        by_poly.setdefault(coeffs, []).append(g)
+    rows = charpoly_rows(graphs)
+    ranking = np.lexsort(rows.T[::-1])
+    starts = np.ones(len(graphs) + 1, dtype=bool)  # does a class start at this rank?
+    starts[1:-1] = False
+    for column in rows.T:  # one coefficient at a time: no ranked copy of the rows
+        ranked = column[ranking]
+        starts[1:-1] |= ranked[1:] != ranked[:-1]
+    bounds = np.flatnonzero(starts)  # each class's first rank, then the end
     nontrivial = tuple(
-        tuple(members) for key, members in sorted(by_poly.items())
-        if len(members) > 1
+        tuple(graphs[i] for i in ranking[bounds[k]:bounds[k + 1]].tolist())
+        for k in np.flatnonzero(np.diff(bounds) > 1).tolist()
     )
     report = EnumerationReport(
         order=n,
         graph_count=len(graphs),
-        class_count=len(by_poly),
+        class_count=len(bounds) - 1,
         nontrivial_classes=nontrivial,
     )
     _class_cache[n] = report
     return report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DsStats:
     """The work of one DS search, counted on its walk's interlacing cut: the
     prefixes admitted to their canonicity test, the prefixes cut, the layer's
@@ -298,7 +312,7 @@ class DsStats:
     berkowitz_levels: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DsVerdict:
     """DS answer for one graph, with cospectral non-isomorphic mates as witnesses.
 
@@ -418,7 +432,7 @@ def star_cospectral_mate(n: int) -> Graph:
     return disjoint_union(complete_bipartite_graph(p, q), empty_graph(l))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NuSearchResult:
     """A graph that is neither CP nor DS, with its certificates."""
 

@@ -15,7 +15,7 @@ from specgraph import (FamilyKind, FamilySpec, Graph, IntPolynomial, NotGraphPol
                        make_family, make_surd, path_graph, pyramid_graph, quadratic_roots,
                        star_graph)
 from specgraph.exact import (PRIMES, ClosedFormSpectrum, _plan, berkowitz_charpoly, berkowitz_level,
-                            hadamard_bound_squared)
+                            charpoly_rows, hadamard_bound_squared)
 
 
 def spec(kind, *params):
@@ -150,6 +150,25 @@ def test_berkowitz_levels_build_the_charpoly_prefix_by_prefix(rng):
         for j in range(2, g.order + 1):
             coeffs = berkowitz_level(coeffs, masks[:j])
         assert tuple(coeffs) == charpoly(g).coeffs == berkowitz_charpoly(masks)
+
+
+def test_charpoly_rows_equal_charpolys_through_order_12(rng):
+    batches = [[_seeded_graph(rng, n, rng.random()) for _ in range(40)] for n in range(9, 12)]
+    batches.append([_seeded_graph(rng, 12, rng.random()) for _ in range(300)])  # two chunks
+    batches.append([complete_graph(12)])
+    for graphs in batches:
+        rows = charpoly_rows(graphs)
+        assert rows.dtype == np.int64 and rows.shape == (len(graphs), graphs[0].order + 1)
+        assert rows.tolist() == [list(p) for p in charpolys(graphs)]
+        assert rows.tolist() == [list(berkowitz_charpoly(g.neighbor_masks())) for g in graphs]
+
+
+def test_charpoly_rows_refuse_an_order_that_needs_two_primes():
+    assert len(_plan(12).primes) == 1 and len(_plan(13).primes) == 2
+    with pytest.raises(OrderCapError, match="one-prime order; order 13 needs 2 primes"):
+        charpoly_rows([complete_graph(13)])
+    with pytest.raises(OrderCapError):
+        charpoly_rows([empty_graph(65)])
 
 
 def test_charpolys_refuse_order_65_and_mixed_orders():

@@ -4,6 +4,7 @@ import contextlib
 import gc
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -16,6 +17,7 @@ from specgraph import (DsVerdict, OrderCapError, ParameterError, SpecGraphError,
                        is_isomorphic, path_graph, pyramid_graph, relabel, search,
                        smallest_non_cp_non_ds_order, star_cospectral_mate, star_graph)
 from specgraph.canonical import _twin_masks, is_min_key, min_key
+from specgraph.exact import charpoly_rows
 from specgraph.graphs import Graph, add_column, pair_count
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -96,6 +98,26 @@ def test_cospectral_reports_are_pinned(monkeypatch):
     _cold_caches(monkeypatch)
     for n in range(1, 8):
         assert _cospectral_digest(cospectral_classes(n)) == COSPECTRAL_SHA256[n], n
+
+
+def _dict_grouping(graphs):
+    """The reference grouping: one dict entry per charpolys tuple, the classes
+    sorted by tuple, their members in census order."""
+    by_poly = {}
+    for g, coeffs in zip(graphs, charpolys(graphs)):
+        by_poly.setdefault(coeffs, []).append(g)
+    return len(by_poly), tuple(tuple(m) for _, m in sorted(by_poly.items()) if len(m) > 1)
+
+
+def test_row_grouping_equals_dict_grouping_over_charpolys(monkeypatch):
+    _cold_caches(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResourceWarning)
+        for n in range(1, 9):
+            graphs = enumerate_graphs(n)
+            assert charpoly_rows(graphs).tolist() == [list(p) for p in charpolys(graphs)], n
+            report = cospectral_classes(n)
+            assert (report.class_count, report.nontrivial_classes) == _dict_grouping(graphs), n
 
 
 def test_census_charpolys_do_not_call_berkowitz(monkeypatch):
