@@ -28,10 +28,12 @@ so up to order 10, where A^1 ... A^5 stay below p, only the traces and the
 Newton sums are reduced.
 
 ``berkowitz_level`` is one level of the division-free Samuelson-Berkowitz
-recurrence in Python integers: the DS search extends a prefix's charpoly by
-one vertex with it, and its fold ``berkowitz_charpoly`` is the independent
-reference for the residue routine.  Closed-form spectra hold eigenvalues as
-exact rationals or quadratic surds and can be expanded back into the
+recurrence in Python integers, on the leading block's neighbour rows and the
+new vertex's column.  The DS search extends a prefix's charpoly by one
+vertex with it, building the prefix's rows once for all the children it
+tests, and its fold ``berkowitz_charpoly`` is the independent reference for
+the residue routine.  Closed-form spectra hold eigenvalues as exact
+rationals or quadratic surds and can be expanded back into the
 characteristic polynomial for cross-checking.
 """
 
@@ -41,6 +43,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
+from operator import mul
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -207,40 +210,52 @@ def _from_residues(plan: _Plan, residues: np.ndarray) -> list[tuple[int, ...]]:
 def berkowitz_charpoly(masks: Sequence[int]) -> tuple[int, ...]:
     """Charpoly coefficients of the graph given by its neighbour masks, by
     the Berkowitz recurrence level by level: the independent reference."""
-    coeffs = [1]
-    for j in range(1, len(masks) + 1):
-        coeffs = berkowitz_level(coeffs, masks[:j])
+    coeffs: list[int] = [1]
+    rows: list[list[int]] = []
+    for j, mask in enumerate(masks):
+        col = bit_indices(mask & ((1 << j) - 1))
+        coeffs = berkowitz_level(coeffs, rows, col)
+        for i in col:
+            rows[i].append(j)
+        rows.append(col)
     return tuple(coeffs)
 
 
-def berkowitz_level(coeffs: Sequence[int], masks: Sequence[int]) -> list[int]:
-    """Charpoly coefficients of the graph given by masks, from coeffs, those of
-    its leading block: the graph on all vertices but the last.  One level of
-    the Samuelson-Berkowitz recurrence."""
-    m = len(masks) - 1
-    below = (1 << m) - 1
-    rows = [_bit_indices(mask & below) for mask in masks[:m]]  # the neighbours below m
-    col = _bit_indices(masks[m] & below)                       # the last vertex's
-    # Toeplitz column: 1, -diag (=0), then -(row . M^k . col) for k = 0..m-1
-    t = [1, 0]
-    if col:  # else every walk term is 0
-        v = [0] * m
-        for j in col:
-            v[j] = 1
-        for k in range(m):
-            t.append(-sum(map(v.__getitem__, col)))
-            if k < m - 1:
-                v = [sum(map(v.__getitem__, row)) for row in rows]
-    new = [0] * (m + 2)
-    for i, ti in enumerate(t):
+def berkowitz_level(coeffs: Sequence[int], rows: Sequence[Sequence[int]],
+                    col: Sequence[int]) -> list[int]:
+    """Charpoly coefficients of a graph from coeffs, those of its leading
+    block H (the graph on all vertices but the last), rows, H's neighbour
+    lists, and col, the last vertex's neighbours in H.  One level of the
+    Samuelson-Berkowitz recurrence.
+
+    Its Toeplitz column is 1, 0 (the diagonal), then -c.H^k.c for
+    k = 0..m-1, m = len(rows), c the indicator of col.  H is symmetric, so
+    with u_r = H^r c these walk counts are u_r.u_r for k = 2r and
+    u_r.u_{r+1} for k = 2r+1: about m/2 products H.u in all."""
+    m = len(rows)
+    if not col:  # every walk term is 0: the charpoly is x times coeffs
+        return [*coeffs, 0]
+    u = [0] * m
+    for j in col:
+        u[j] = 1
+    t = [1, 0, -len(col)]  # the last is u_0.u_0
+    while len(t) < m + 2:
+        w = [sum(map(u.__getitem__, row)) for row in rows]
+        t.append(-sum(map(mul, u, w)))
+        if len(t) < m + 2:
+            t.append(-sum(map(mul, w, w)))
+        u = w
+    new = [*coeffs, 0]  # the product of the Toeplitz matrix and coeffs; t_0 = 1
+    for i in range(2, m + 2):
+        ti = t[i]
         if ti:
-            for j, cj in enumerate(coeffs):
-                if i + j < m + 2:
-                    new[i + j] += ti * cj
+            for k, cj in enumerate(coeffs[:m + 2 - i], i):
+                new[k] += ti * cj
     return new
 
 
-def _bit_indices(mask: int) -> list[int]:
+def bit_indices(mask: int) -> list[int]:
+    """The indices of mask's set bits, ascending."""
     out = []
     while mask:
         low = mask & -mask

@@ -35,7 +35,7 @@ import numpy as np
 from .canonical import CANONICAL_ORDER_CAP, canonical_blocks, extension_twins, min_key
 from .cp import is_cp_graph
 from .errors import OrderCapError, ParameterError, SpecGraphError
-from .exact import berkowitz_charpoly, berkowitz_level, charpoly_rows, charpolys
+from .exact import berkowitz_charpoly, berkowitz_level, bit_indices, charpoly_rows, charpolys
 from .graphs import (Graph, add_column, complete_bipartite_graph, disjoint_union, empty_graph,
                      pair_count)
 from .polynomials import real_rooted_counts
@@ -109,31 +109,82 @@ class _InterlacingCut:
     `thresholds` holds (a, N_G(>a), N_G(<a)) for each a tested; any finite
     set of thresholds gives a sound cut.
 
-    Each prefix carries its charpoly coefficients, one Berkowitz level above
-    its parent's, and is counted exactly by `real_rooted_counts` at every
-    threshold.  With no thresholds nothing is computed.
+    Each admitted prefix carries its charpoly coefficients and, at every
+    threshold a, its counts (N(>a), mult(a)); the one-vertex root carries x
+    and (0 > a, a == 0).  A child's charpoly is one Berkowitz level above its
+    parent's, on the parent's neighbour rows (built once per prefix, shared
+    by all the children it tests), and its counts follow from the parent's
+    by _child_counts.  With no thresholds nothing is computed.
     """
 
     def __init__(self, thresholds: tuple[tuple[int, int, int], ...]) -> None:
         self.thresholds = thresholds
+        self.root = ((1, 0), tuple((int(0 > a), int(a == 0)) for a, _, _ in thresholds))
         self.tests = 0   # prefixes admitted: each goes on to its canonicity test
         self.cut = 0     # prefixes dropped
         self.levels = 0  # Berkowitz levels computed
 
-    def admit(self, coeffs: Sequence[int], masks: list[int]) -> Optional[Sequence[int]]:
-        """The charpoly coefficients of the prefix given by masks, from coeffs,
-        those of its parent; None if the prefix is cut.  With no thresholds
-        the parent's pass through uncomputed."""
-        if self.thresholds:
-            coeffs = berkowitz_level(coeffs, masks)
-            self.levels += 1
-        for a, above, below in self.thresholds:
-            up, at = real_rooted_counts(coeffs, a)
-            if up > above or len(masks) - up - at > below:
+    def rows(self, masks: list[int]) -> Optional[list[list[int]]]:
+        """The neighbour rows of the prefix given by masks, for its children's
+        levels; None with no thresholds."""
+        return [bit_indices(mask) for mask in masks] if self.thresholds else None
+
+    def admit(self, carry: tuple, rows: Optional[list[list[int]]], b: int) -> Optional[tuple]:
+        """The carry (charpoly, counts) of the child of the prefix with carry
+        and neighbour rows rows whose new vertex has block b; None if the
+        child is cut.  With no thresholds the parent's carry passes through."""
+        if not self.thresholds:
+            self.tests += 1
+            return carry
+        j = len(rows)
+        coeffs = berkowitz_level(carry[0], rows, [j - 1 - t for t in bit_indices(b)])
+        self.levels += 1
+        counts = []
+        for (a, above, below), (up, mult) in zip(self.thresholds, carry[1]):
+            up, mult = _child_counts(coeffs, a, up, mult)
+            if up > above or j + 1 - up - mult > below:
                 self.cut += 1
                 return None
+            counts.append((up, mult))
         self.tests += 1
-        return coeffs
+        return coeffs, counts
+
+
+def _child_counts(coeffs: Sequence[int], a: int, up: int, mult: int) -> tuple[int, int]:
+    """(N(>a), mult(a)) of a graph with charpoly coeffs, from (up, mult),
+    those of its leading block.
+
+    Interlacing at co-order 1 gives N(>a) in {up, up + 1} and
+    mult(a) <= mult + 1.  Write p(x) = (x - a)^z r(x) with r(a) != 0: z is
+    mult(a), the index of p's lowest nonzero Taylor coefficient r(a) at a,
+    found by repeated synthetic division (at a = 0 it is read off the low
+    coefficients).  r(a) is the product of a - lambda over the other roots,
+    so its sign is (-1)^N(>a), which picks one of the two candidates.  If z
+    reaches mult + 1, then N(>a) + N(<a) did not grow, so N(>a) = up.
+    """
+    z = 0
+    if a:
+        quotient = coeffs
+        while True:
+            acc, quot = 0, []
+            for c in quotient:  # one Horner pass: quot, then p(a) last
+                acc = acc * a + c
+                quot.append(acc)
+            low = quot.pop()
+            if low:
+                break
+            z += 1
+            if z > mult:
+                return up, z
+            quotient = quot
+    else:
+        low = coeffs[-1]
+        while not low:
+            z += 1
+            if z > mult:
+                return up, z
+            low = coeffs[-1 - z]
+    return (up if (low > 0) == (up % 2 == 0) else up + 1), z
 
 
 def _walk(n: int, edges: Optional[int] = None, cut: Optional[_InterlacingCut] = None,
@@ -175,23 +226,24 @@ def _walk(n: int, edges: Optional[int] = None, cut: Optional[_InterlacingCut] = 
     the canonicity test share them.
     """
     out: list = []
-    # a cut walk's root carries x, the one-vertex prefix's charpoly: every G admits it
-    stack = [(root, None if cut is None else (1, 0))]
+    # a cut walk's root carries the one-vertex prefix's carry: every G admits it
+    stack = [(root, None if cut is None else cut.root)]
     while stack:
-        state, coeffs = stack.pop()
+        state, carry = stack.pop()
         j, key, masks, twins = state
         if j in (split, n):  # a unit, or order 1 (edges, if set, is 0: the callers check it)
             out.append(key if split is None else state)
             continue
         tested = []
-        children = {}  # block -> the cut child's masks and charpoly
+        children = {}  # block -> the cut child's carry
+        if cut is not None:
+            rows = cut.rows(masks)
         for b in _blocks(n, edges, j, key, twins):
             if cut is not None:
-                new_masks = add_column(masks, b)
-                child = cut.admit(coeffs, new_masks)
+                child = cut.admit(carry, rows, b)
                 if child is None:
                     continue  # no extension is cospectral with the query
-                children[b] = (new_masks, child)
+                children[b] = child
             tested.append(b)
         # no extension of a non-canonical prefix is canonical
         kept = canonical_blocks(j, masks, key, tested, twins)
@@ -199,9 +251,9 @@ def _walk(n: int, edges: Optional[int] = None, cut: Optional[_InterlacingCut] = 
             out += [(key << j) | b for b in kept]
             continue
         for b in reversed(kept):  # the first child on top: depth first, ascending
-            new_masks, child = children.get(b) or (add_column(masks, b), None)
+            new_masks = add_column(masks, b)
             stack.append(((j + 1, (key << j) | b, new_masks, extension_twins(twins, new_masks)),
-                          child))
+                          children.get(b)))
     return out
 
 
@@ -304,7 +356,9 @@ class DsStats:
     """The work of one DS search, counted on its walk's interlacing cut: the
     prefixes admitted to their canonicity test, the prefixes cut, the layer's
     classes that survive, and the Berkowitz levels, one per prefix counted
-    (none when the query has no integer eigenvalue, hence no threshold)."""
+    (none when the query has no integer eigenvalue, hence no threshold).  A
+    prefix is counted from its level's charpoly and its parent's counts, so
+    levels = admitted + cut whenever there is a threshold."""
 
     canonicity_tests: int
     prefixes_cut: int

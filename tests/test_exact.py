@@ -147,8 +147,11 @@ def test_berkowitz_levels_build_the_charpoly_prefix_by_prefix(rng):
         g = random_graph(rng, rng.randint(1, 14))
         masks = g.neighbor_masks()
         coeffs = [1, 0]  # the first vertex alone
-        for j in range(2, g.order + 1):
-            coeffs = berkowitz_level(coeffs, masks[:j])
+        for j in range(1, g.order):
+            # the leading block's neighbour rows, and vertex j's column
+            rows = [[i for i in range(j) if masks[v] >> i & 1] for v in range(j)]
+            col = [i for i in range(j) if masks[j] >> i & 1]
+            coeffs = berkowitz_level(coeffs, rows, col)
         assert tuple(coeffs) == charpoly(g).coeffs == berkowitz_charpoly(masks)
 
 

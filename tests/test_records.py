@@ -64,6 +64,16 @@ def test_records_have_no_instance_dict_and_refuse_assignment():
             setattr(record, first, getattr(record, first))
 
 
+def test_records_refuse_an_attribute_that_is_not_a_field():
+    # which exception depends on the Python version: dataclasses' frozen
+    # __setattr__ refers to the class that slots=True replaces, so 3.11 raises
+    # TypeError; FrozenInstanceError is an AttributeError
+    for record in _samples():
+        with pytest.raises((TypeError, AttributeError)):
+            record.not_a_field = 1
+        assert not hasattr(record, "not_a_field"), type(record)
+
+
 def test_records_survive_a_pickle_round_trip():
     for record in _samples():
         copy = pickle.loads(pickle.dumps(record))

@@ -4,21 +4,23 @@ import contextlib
 import gc
 import hashlib
 import json
+import math
 import warnings
 
 import pytest
 
 from specgraph import (DsVerdict, OrderCapError, ParameterError, SpecGraphError,
                        are_cospectral, book_graph, burnside_graph_count, canonical,
-                       canonical_form, complement, charpoly, charpolys, cospectral_classes,
-                       cycle_graph, disjoint_union,
+                       canonical_form, complement, charpoly, charpolys, complete_bipartite_graph,
+                       complete_graph, cospectral_classes, cycle_graph, disjoint_union,
                        empty_graph, enumerate_graphs, graph6_encode, is_connected,
                        is_cp_graph, is_ds,
                        is_isomorphic, path_graph, pyramid_graph, relabel, search,
                        smallest_non_cp_non_ds_order, star_cospectral_mate, star_graph)
 from specgraph.canonical import _twin_masks, is_min_key, min_key
-from specgraph.exact import charpoly_rows
+from specgraph.exact import berkowitz_charpoly, charpoly_rows
 from specgraph.graphs import Graph, add_column, pair_count
+from specgraph.polynomials import real_rooted_counts
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
@@ -463,6 +465,33 @@ def test_interlacing_thresholds_are_the_integer_eigenvalues():
     assert bounds(path_graph(4), charpoly(path_graph(4)).coeffs) == ()
 
 
+def test_carried_counts_equal_the_descartes_count_on_every_prefix_chain(rng):
+    # each prefix's counts come from its parent's by interlacing; the oracle
+    # counts the prefix's own Berkowitz charpoly with Descartes' rule
+    thresholds = tuple(range(-3, 4))
+    graphs = [Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j)
+                                   if rng.random() < density])
+              for n in range(2, 11) for density in [rng.random() for _ in range(30)]]
+    # 0 and -1 of high multiplicity
+    graphs += [complete_graph(n) for n in range(2, 11)] + [empty_graph(n) for n in range(2, 11)]
+    graphs += [star_graph(n) for n in range(1, 10)]
+    graphs += [pyramid_graph(n, k) for n in range(3, 11) for k in range(1, n)]
+    for g in graphs:
+        n, masks = g.order, g.neighbor_masks()
+        cut = search._InterlacingCut(tuple((a, n, n) for a in thresholds))  # cuts nothing
+        carry = cut.root
+        assert list(carry[1]) == [real_rooted_counts((1, 0), a) for a in thresholds]
+        for j in range(1, n):  # as the walk extends the prefix on vertices 0..j-1
+            prefix = [mask & ((1 << j) - 1) for mask in masks[:j]]
+            block = sum(1 << (j - 1 - i) for i in range(j) if masks[j] >> i & 1)
+            carry = cut.admit(carry, cut.rows(prefix), block)
+            coeffs = berkowitz_charpoly(masks[:j + 1])
+            assert tuple(carry[0]) == coeffs, (graph6_encode(g), j)
+            assert list(carry[1]) == [real_rooted_counts(coeffs, a) for a in thresholds], (
+                graph6_encode(g), j)
+        assert (cut.tests, cut.cut, cut.levels) == (n - 1, 0, n - 1)
+
+
 def test_is_ds_refuses_a_layer_short_of_its_polya_count(monkeypatch, capsys):
     # P4 has no integer eigenvalue, so its cut is empty and its walk is the
     # whole layer (4, 3): P4, the star with 3 leaves and K3 + K1
@@ -556,12 +585,18 @@ def test_is_ds_accepts_any_labeling():
 
 
 def test_star_mates_include_constructive_mate():
-    # the mates are canonical strings, up to order 11
+    # a graph whose only nonzero eigenvalues are +-sqrt(n) has rank 2, so it is
+    # complete bipartite plus isolated vertices: the star's mates are exactly
+    # K_{a,b} + (n + 1 - a - b)K_1 with ab = n and 2 <= a <= b
     for n in (4, 6, 8, 9, 10):
         with pytest.warns(ResourceWarning) if n >= 8 else contextlib.nullcontext():
             verdict = is_ds(star_graph(n))
-        mate = star_cospectral_mate(n)
-        assert canonical_form(mate).key in {m.bits for m in verdict.mates}, n
+        expected = sorted(
+            canonical_form(disjoint_union(complete_bipartite_graph(a, n // a),
+                                          empty_graph(n + 1 - a - n // a))).key
+            for a in range(2, math.isqrt(n) + 1) if n % a == 0)
+        assert [m.bits for m in verdict.mates] == expected, n
+        assert canonical_form(star_cospectral_mate(n)).key in expected, n
 
 
 def test_star_cospectral_mate_construction():
