@@ -20,7 +20,7 @@ from .graphs import (FamilyKind, FamilySpec, Graph, book_graph, complement,
                      is_connected, join, line_graph, make_family, path_graph,
                      pyramid_graph, relabel, star_graph)
 from .numeric import NumericSpectrum, count_geq, count_leq, eigenvalues, verify_interlacing
-from .polynomials import FactoredIntPolynomial, IntPolynomial
+from .polynomials import IntPolynomial
 from .rational import RationalMatrix, schur_complement, verify_schur_identities
 from .search import (DsStats, DsVerdict, EnumerationReport, NuSearchResult,
                      burnside_graph_count, cospectral_classes, enumerate_graphs, is_ds,

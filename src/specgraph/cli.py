@@ -121,10 +121,11 @@ def _cmd_charpoly(args) -> int:
     payload = {
         "graph6": graph6_encode(g),
         "order": g.order,
-        "coefficients": charpoly(g).to_json(),
+        "coefficients": list(charpoly(g).coeffs),
     }
     if spec is not None and spec.kind is FamilyKind.PYRAMID:
-        payload["factored"] = charpoly_pyramid_factored(*spec.params).to_json()
+        payload["factored"] = [{"coefficients": list(base), "exponent": exponent}
+                               for base, exponent in charpoly_pyramid_factored(*spec.params)]
     _emit(payload, args.format)
     return 0
 
@@ -135,7 +136,7 @@ def _cmd_spectrum(args) -> int:
     payload = {
         "graph6": graph6_encode(g),
         "order": g.order,
-        "charpoly": charpoly(g).to_json(),
+        "charpoly": list(charpoly(g).coeffs),
         "eigenvalues": list(numeric.values),
         "clustered": [[v, m] for v, m in numeric.clustered()],
     }

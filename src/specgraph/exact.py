@@ -5,8 +5,11 @@ cospectrality is decided by integer equality and never by floating point:
 ``charpolys(graphs)`` takes a set of graphs of one order n up to
 ``CHARPOLY_ORDER_CAP``, ``charpoly_rows(graphs)`` returns its result as one
 int64 array where one prime suffices, and ``charpoly(g)`` is the same routine
-on a batch of one, cached.  For each of a few primes p, it reduces the power traces
-p_k = tr(A^k) mod p and solves Newton's identities
+on a batch of one, cached, in the one-field ``IntPolynomial`` record.  Every
+polynomial here is a tuple of integer coefficients, highest degree first,
+multiplied and divided by the tuple functions of ``polynomials``.  For each
+of a few primes p, it reduces the power traces p_k = tr(A^k) mod p and
+solves Newton's identities
 
     k c_k = -(p_2 c_{k-2} + ... + p_k c_0),   c_0 = 1,  c_1 = -p_1 = 0,
 
@@ -33,8 +36,10 @@ new vertex's column.  The DS search extends a prefix's charpoly by one
 vertex with it, building the prefix's rows once for all the children it
 tests, and its fold ``berkowitz_charpoly`` is the independent reference for
 the residue routine.  Closed-form spectra hold eigenvalues as exact
-rationals or quadratic surds and can be expanded back into the
-characteristic polynomial for cross-checking.
+rationals or quadratic surds and expand back into the characteristic
+polynomial's coefficients for cross-checking; the pyramid's factored form
+is a tuple of (coefficients, exponent) pairs.  Edge and triangle counts are
+read off a charpoly's coefficients.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ import numpy as np
 
 from .errors import NotGraphPolynomialError, OrderCapError, ParameterError
 from .graphs import FamilyKind, FamilySpec, Graph, adjacency_tensor, make_family
-from .polynomials import FactoredIntPolynomial, IntPolynomial, divmod_by_monic
+from .polynomials import Coeffs, IntPolynomial, divmod_by_monic, poly_product
 
 CHARPOLY_ORDER_CAP = 64
 # the eight largest primes below 2^25: their product beats twice Hadamard's
@@ -271,38 +276,42 @@ def are_cospectral(g1: Graph, g2: Graph) -> bool:
     return charpoly(g1) == charpoly(g2)
 
 
-def edges_and_triangles(p: IntPolynomial) -> tuple[int, int]:
-    """Edge and triangle counts read off a graph characteristic polynomial.
+def edges_and_triangles(coeffs: Sequence[int]) -> tuple[int, int]:
+    """Edge and triangle counts read off a graph characteristic polynomial,
+    given by its coefficients, highest degree first.
 
     Newton's identities give sum(eig) = 0, sum(eig^2) = -2 c_{n-2} and
     sum(eig^3) = -3 c_{n-3}, hence edges = -c_{n-2} and triangles = -c_{n-3}/2.
+    Below order 3, c_{n-2} or c_{n-3} lies past the tuple and counts as zero.
     """
-    n = p.degree
-    if not p.is_monic:
+    if not coeffs or coeffs[0] != 1:
         raise NotGraphPolynomialError("graph charpoly must be monic")
-    if n >= 1 and p.coefficient(n - 1) != 0:
+    _, trace, c_2, c_3 = (*coeffs, 0, 0, 0)[:4]
+    if trace != 0:
         raise NotGraphPolynomialError("graph charpoly must have zero trace coefficient")
-    edges = -p.coefficient(n - 2)
-    twice_triangles = -p.coefficient(n - 3)
+    edges = -c_2
+    twice_triangles = -c_3
     if edges < 0 or twice_triangles < 0 or twice_triangles % 2:
         raise NotGraphPolynomialError("edge/triangle counts are not nonnegative integers")
     return edges, twice_triangles // 2
 
 
-def charpoly_pyramid_factored(n: int, k: int) -> FactoredIntPolynomial:
+def charpoly_pyramid_factored(n: int, k: int) -> tuple[tuple[Coeffs, int], ...]:
     """Characteristic polynomial of the pyramid graph on (n, k), in factored form:
 
         x^(n-k-1) * (x+1)^(k-1) * (x^2 + (1-k) x - (n-k) k)
+
+    as (coefficients, exponent) pairs, positive exponents only.
     """
     if not 1 <= k < n:
         raise ParameterError(f"pyramid requires 1 <= k < n, got (n={n}, k={k})")
     factors = []
     if n - k - 1 > 0:
-        factors.append((IntPolynomial.of(1, 0), n - k - 1))
+        factors.append(((1, 0), n - k - 1))
     if k - 1 > 0:
-        factors.append((IntPolynomial.of(1, 1), k - 1))
-    factors.append((IntPolynomial.of(1, 1 - k, -(n - k) * k), 1))
-    return FactoredIntPolynomial(tuple(factors))
+        factors.append(((1, 1), k - 1))
+    factors.append(((1, 1 - k, -(n - k) * k), 1))
+    return tuple(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +423,9 @@ class ClosedFormSpectrum:
             out.extend([float(value)] * mult)
         return out
 
-    def expand(self) -> IntPolynomial:
+    def expand(self) -> Coeffs:
         """prod (x - value)^mult, verified to have integer coefficients."""
-        acc = IntPolynomial.of(1)
+        factors = []
         seen_surds = set()
         for value, mult in self.entries:
             if isinstance(value, Fraction):
@@ -435,8 +444,8 @@ class ClosedFormSpectrum:
             # exactly when every factor is
             if any(c.denominator != 1 for c in coeffs):
                 raise ParameterError("expansion is not an integer polynomial")
-            acc = acc * IntPolynomial(tuple(int(c) for c in coeffs)) ** mult
-        return acc
+            factors.append((tuple(int(c) for c in coeffs), mult))
+        return poly_product(factors)
 
     def to_json(self) -> list[dict]:
         out = []
@@ -453,7 +462,19 @@ class ClosedFormSpectrum:
         return out
 
 
-def _split_into_small_factors(p: IntPolynomial, root_bound: int) -> Optional[ClosedFormSpectrum]:
+def _strip(rem: Coeffs, factor: Coeffs) -> tuple[Coeffs, int]:
+    """rem with every power of the monic factor divided out, and how many."""
+    count = 0
+    while len(rem) >= len(factor):
+        quot, r = divmod_by_monic(rem, factor)
+        if any(r):
+            break
+        rem = quot
+        count += 1
+    return rem, count
+
+
+def _split_into_small_factors(p: Coeffs, root_bound: int) -> Optional[ClosedFormSpectrum]:
     """Factor a monic integer polynomial into linear and quadratic pieces.
 
     All roots are assumed real with |root| <= root_bound.  Returns None when
@@ -462,10 +483,7 @@ def _split_into_small_factors(p: IntPolynomial, root_bound: int) -> Optional[Clo
     rem = p
     pairs: list[tuple[AlgebraicValue, int]] = []
     for r in range(-root_bound, root_bound + 1):
-        count = 0
-        while rem.degree > 0 and rem.evaluate(r) == 0:
-            rem = divmod_by_monic(rem, IntPolynomial.of(1, -r))[0]
-            count += 1
+        rem, count = _strip(rem, (1, -r))
         if count:
             pairs.append((Fraction(r), count))
     for b in range(-2 * root_bound, 2 * root_bound + 1):
@@ -473,19 +491,12 @@ def _split_into_small_factors(p: IntPolynomial, root_bound: int) -> Optional[Clo
             disc = b * b - 4 * c
             if disc <= 0 or math.isqrt(disc) ** 2 == disc:
                 continue  # only irreducible real quadratics
-            quad = IntPolynomial.of(1, b, c)
-            count = 0
-            while rem.degree >= 2:
-                quot, r = divmod_by_monic(rem, quad)
-                if not r.is_zero:
-                    break
-                rem = quot
-                count += 1
+            rem, count = _strip(rem, (1, b, c))
             if count:
                 lo, hi = quadratic_roots(b, c)
                 pairs.append((lo, count))
                 pairs.append((hi, count))
-    if rem.degree != 0:
+    if len(rem) != 1:
         return None
     return ClosedFormSpectrum.build(pairs)
 
@@ -515,5 +526,5 @@ def closed_form_spectrum(spec: FamilySpec) -> Optional[ClosedFormSpectrum]:
             (lo, 1), (Fraction(-1), k - 1), (Fraction(0), n - k - 1), (hi, 1)])
     if kind in (FamilyKind.PATH, FamilyKind.CYCLE):
         # eigenvalues are 2cos(.) in [-2, 2]; keep only rational/quadratic spectra
-        return _split_into_small_factors(charpoly(make_family(spec)), 2)
+        return _split_into_small_factors(charpoly(make_family(spec)).coeffs, 2)
     raise ParameterError(f"unknown family kind {kind!r}")

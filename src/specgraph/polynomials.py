@@ -1,7 +1,10 @@
-"""Exact polynomial arithmetic: integer polynomials and real-root counting.
+"""Exact polynomial arithmetic on coefficient tuples, and real-root counting.
 
-Coefficients run from the highest degree down.  Everything here is exact
-integer arithmetic, because cospectrality decisions and eigenvalue counts at
+A polynomial is a tuple of integer coefficients, highest degree first, as
+the charpoly routines return it.  ``poly_mul``, ``poly_product`` and
+``divmod_by_monic`` are the whole of the arithmetic; ``IntPolynomial`` is
+only the record ``charpoly(g)`` returns.  Everything here is exact integer
+arithmetic, because cospectrality decisions and eigenvalue counts at
 rational thresholds must never depend on floating point.
 """
 
@@ -9,117 +12,53 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import ParameterError
 
 Scalar = Union[int, Fraction]
+Coeffs = tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
 class IntPolynomial:
-    """Integer-coefficient polynomial; coeffs highest degree first, no leading zeros."""
+    """A graph's characteristic polynomial: its coefficients, highest degree first."""
 
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coeffs:
-            object.__setattr__(self, "coeffs", (0,))
-        if any(not isinstance(c, int) for c in self.coeffs):
-            raise ParameterError("coefficients must be integers")
-        if len(self.coeffs) > 1 and self.coeffs[0] == 0:
-            trimmed = list(self.coeffs)
-            while len(trimmed) > 1 and trimmed[0] == 0:
-                trimmed.pop(0)
-            object.__setattr__(self, "coeffs", tuple(trimmed))
-
-    @classmethod
-    def of(cls, *coeffs: int) -> "IntPolynomial":
-        return cls(tuple(int(c) for c in coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs == (0,)
-
-    @property
-    def is_monic(self) -> bool:
-        return self.coeffs[0] == 1
-
-    def coefficient(self, power: int) -> int:
-        """Coefficient of x**power (0 if beyond the degree)."""
-        if power < 0 or power > self.degree:
-            return 0
-        return self.coeffs[self.degree - power]
-
-    def evaluate(self, x: Scalar) -> Scalar:
-        acc: Scalar = 0
-        for c in self.coeffs:
-            acc = acc * x + c
-        return acc
-
-    def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
-        if isinstance(other, int):
-            return IntPolynomial(tuple(c * other for c in self.coeffs))
-        if self.is_zero or other.is_zero:
-            return IntPolynomial((0,))
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "IntPolynomial":
-        if e < 0:
-            raise ParameterError("negative polynomial power")
-        result = IntPolynomial((1,))
-        for _ in range(e):
-            result = result * self
-        return result
-
-    def to_json(self) -> list[int]:
-        return list(self.coeffs)
+    coeffs: Coeffs
 
 
-@dataclass(frozen=True, slots=True)
-class FactoredIntPolynomial:
-    """Product of integer polynomial factors with positive exponents."""
-
-    factors: tuple[tuple[IntPolynomial, int], ...]
-
-    def expand(self) -> IntPolynomial:
-        result = IntPolynomial((1,))
-        for base, exp in self.factors:
-            result = result * base ** exp
-        return result
-
-    def to_json(self) -> list[dict]:
-        return [{"coefficients": list(base.coeffs), "exponent": exp}
-                for base, exp in self.factors]
+def poly_mul(p: Sequence[int], q: Sequence[int]) -> Coeffs:
+    """The product of two coefficient tuples."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return tuple(out)
 
 
-def divmod_by_monic(p: IntPolynomial, d: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
-    """Exact (quotient, remainder) of p by a monic integer divisor."""
-    if not d.is_monic:
+def poly_product(pairs: Iterable[tuple[Sequence[int], int]]) -> Coeffs:
+    """The product of base**exponent over (base, exponent) pairs."""
+    acc: Coeffs = (1,)
+    for base, exponent in pairs:
+        for _ in range(exponent):
+            acc = poly_mul(acc, base)
+    return acc
+
+
+def divmod_by_monic(p: Sequence[int], d: Sequence[int]) -> tuple[Coeffs, Coeffs]:
+    """Exact (quotient, remainder) of p by a monic divisor d; the remainder
+    has len(d) - 1 coefficients, leading zeros kept."""
+    if not d or d[0] != 1:
         raise ParameterError("divisor must be monic")
-    rem = list(p.coeffs)
-    dn = d.degree
-    if p.degree < dn:
-        return IntPolynomial((0,)), p
-    quot = [0] * (p.degree - dn + 1)
-    for i in range(len(quot)):
+    rem = [0] * (len(d) - 1 - len(p)) + list(p)
+    split = len(rem) - len(d) + 1
+    for i in range(split):
         q = rem[i]
-        quot[i] = q
         if q:
-            for j, c in enumerate(d.coeffs):
-                rem[i + j] -= q * c
-    return IntPolynomial(tuple(quot)), IntPolynomial(tuple(rem[len(quot):]) or (0,))
+            for j in range(1, len(d)):
+                rem[i + j] -= q * d[j]
+    return tuple(rem[:split]) or (0,), tuple(rem[split:])
 
 
 def real_rooted_counts(coeffs: Sequence[int], a: Scalar) -> tuple[int, int]:

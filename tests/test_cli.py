@@ -1,6 +1,7 @@
 """CLI surface: subcommands, determinism, error objects."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -50,7 +51,11 @@ def test_charpoly_subcommand(capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["coefficients"] == [1, 0, -12, -20, -9, 0, 0]
-    assert payload["factored"][-1] == {"coefficients": [1, -2, -9], "exponent": 1}
+    assert payload["factored"] == [
+        {"coefficients": [1, 0], "exponent": 2},
+        {"coefficients": [1, 1], "exponent": 2},
+        {"coefficients": [1, -2, -9], "exponent": 1},
+    ]
 
 
 def test_spectrum_subcommand(capsys):
@@ -236,6 +241,35 @@ def test_output_is_deterministic(capsys):
     _, first = run_cli(capsys, "spectrum", "--pyramid", "7", "4")
     _, second = run_cli(capsys, "spectrum", "--pyramid", "7", "4")
     assert first == second
+
+
+def _pinned_spectra_commands():
+    families = ([("--complete", n) for n in range(1, 7)] + [("--empty", n) for n in range(1, 7)]
+                + [("--path", n) for n in range(2, 9)] + [("--cycle", n) for n in range(3, 9)]
+                + [("--star", n) for n in range(1, 10)] + [("--complete-bipartite", 2, 3)]
+                + [("--pyramid", n, k) for n in range(2, 10) for k in range(1, n)])
+    for fmt in ("json", "table"):
+        for family in families:
+            for command in ("charpoly", "spectrum"):
+                yield (command, *map(str, family), "--format", fmt)
+        yield ("charpoly", "--pyramid", "30", "15", "--format", fmt)
+        yield ("spectrum", "--pyramid", "64", "3", "--format", fmt)
+
+
+# sha256 of the concatenated stdout of _pinned_spectra_commands, in order:
+# charpoly (with the pyramids' factored form) and spectrum (with closed forms)
+SPECTRA_STDOUT_SHA256 = "70393c5bc9be1524ad34221e27db161c7be52ae04d9cdbad43067c2802e46cab"
+
+
+def test_charpoly_and_spectrum_stdout_is_pinned(capsys):
+    digest = hashlib.sha256()
+    commands = list(_pinned_spectra_commands())
+    assert len(commands) == 288
+    for argv in commands:
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, argv
+        digest.update(out.encode())
+    assert digest.hexdigest() == SPECTRA_STDOUT_SHA256
 
 
 def test_table_format(capsys):

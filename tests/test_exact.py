@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import direct_triangle_count, random_graph
-from specgraph import (FamilyKind, FamilySpec, Graph, IntPolynomial, NotGraphPolynomialError,
+from specgraph import (FamilyKind, FamilySpec, Graph, NotGraphPolynomialError,
                        OrderCapError, ParameterError, QuadraticSurd, are_cospectral,
                        book_graph, charpoly, charpoly_pyramid_factored, charpolys,
                        closed_form_spectrum, complete_graph, cycle_graph,
@@ -16,6 +16,7 @@ from specgraph import (FamilyKind, FamilySpec, Graph, IntPolynomial, NotGraphPol
                        star_graph)
 from specgraph.exact import (PRIMES, ClosedFormSpectrum, _plan, berkowitz_charpoly, berkowitz_level,
                             charpoly_rows, hadamard_bound_squared)
+from specgraph.polynomials import poly_mul, poly_product
 
 
 def spec(kind, *params):
@@ -41,10 +42,10 @@ def test_charpoly_known_values():
 def test_charpoly_is_monic_with_zero_trace(rng):
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 9))
-        p = charpoly(g)
-        assert p.degree == g.order
-        assert p.is_monic
-        assert p.coefficient(g.order - 1) == 0
+        p = charpoly(g).coeffs
+        assert len(p) == g.order + 1
+        assert p[0] == 1
+        assert p[1] == 0
 
 
 def test_charpoly_matches_numeric_roots(rng):
@@ -65,7 +66,8 @@ def test_charpoly_multiplicative_over_disjoint_union(rng):
     for _ in range(30):
         g1 = random_graph(rng, rng.randint(1, 6))
         g2 = random_graph(rng, rng.randint(1, 6))
-        assert charpoly(disjoint_union(g1, g2)) == charpoly(g1) * charpoly(g2)
+        assert charpoly(disjoint_union(g1, g2)).coeffs == poly_mul(charpoly(g1).coeffs,
+                                                                   charpoly(g2).coeffs)
 
 
 def _seeded_graph(rng, n, density):
@@ -103,19 +105,19 @@ def test_charpolys_equal_berkowitz(rng):
 
 
 def test_charpolys_equal_closed_forms_up_to_order_64():
-    x = IntPolynomial.of(1, 0)
     for n in range(1, 65):
         got = charpolys([complete_graph(n)])[0]
-        assert got == (IntPolynomial.of(1, 1) ** (n - 1) * IntPolynomial.of(1, 1 - n)).coeffs
+        assert got == poly_product([((1, 1), n - 1), ((1, 1 - n), 1)])
         assert charpolys([empty_graph(n)])[0] == (1,) + (0,) * n
         if n % 7 == 2:
-            assert charpoly(star_graph(n - 1)) == x ** (n - 2) * IntPolynomial.of(1, 0, -(n - 1))
+            assert charpoly(star_graph(n - 1)).coeffs == poly_product(
+                [((1, 0), n - 2), ((1, 0, -(n - 1)), 1)])
         if n % 7 == 3:
-            assert charpoly(book_graph(n)) == charpoly_pyramid_factored(n, 2).expand()
+            assert charpoly(book_graph(n)).coeffs == poly_product(charpoly_pyramid_factored(n, 2))
     for n in (16, 31, 64):
         ks = (1, 2, 3, n // 2, n - 2, n - 1)
         assert charpolys([pyramid_graph(n, k) for k in ks]) == [
-            charpoly_pyramid_factored(n, k).expand().coeffs for k in ks]
+            poly_product(charpoly_pyramid_factored(n, k)) for k in ks]
 
 
 def test_primes_table():
@@ -202,28 +204,37 @@ def test_non_cospectral_pairs():
 # ---------------------------------------------------------------------------
 
 def test_edges_and_triangles_known():
-    assert edges_and_triangles(charpoly(complete_graph(3))) == (3, 1)
-    assert edges_and_triangles(charpoly(star_graph(4))) == (4, 0)
-    assert edges_and_triangles(charpoly(pyramid_graph(6, 3))) == (12, 10)
+    assert edges_and_triangles(charpoly(complete_graph(3)).coeffs) == (3, 1)
+    assert edges_and_triangles(charpoly(star_graph(4)).coeffs) == (4, 0)
+    assert edges_and_triangles(charpoly(pyramid_graph(6, 3)).coeffs) == (12, 10)
+    # below order 3, c_{n-2} or c_{n-3} lies past the coefficient tuple
+    assert edges_and_triangles(charpoly(empty_graph(1)).coeffs) == (0, 0)
+    assert edges_and_triangles(charpoly(empty_graph(2)).coeffs) == (0, 0)
+    assert edges_and_triangles(charpoly(complete_graph(2)).coeffs) == (1, 0)
+    assert edges_and_triangles((1,)) == (0, 0)
 
 
 def test_edges_and_triangles_match_direct_counts(rng):
     for _ in range(50):
         g = random_graph(rng, rng.randint(1, 8))
-        edges, triangles = edges_and_triangles(charpoly(g))
+        edges, triangles = edges_and_triangles(charpoly(g).coeffs)
         assert edges == g.edge_count
         assert triangles == direct_triangle_count(g)
 
 
 def test_edges_and_triangles_rejects_non_graph_polynomials():
     with pytest.raises(NotGraphPolynomialError):
-        edges_and_triangles(IntPolynomial.of(2, 0, -3))  # not monic
+        edges_and_triangles((2, 0, -3))  # not monic
     with pytest.raises(NotGraphPolynomialError):
-        edges_and_triangles(IntPolynomial.of(1, 1, 0))  # nonzero trace
+        edges_and_triangles((1, 1, 0))  # nonzero trace
     with pytest.raises(NotGraphPolynomialError):
-        edges_and_triangles(IntPolynomial.of(1, 0, 5))  # negative edge count
+        edges_and_triangles((1, 0, 5))  # negative edge count
     with pytest.raises(NotGraphPolynomialError):
-        edges_and_triangles(IntPolynomial.of(1, 0, 0, -1))  # odd triangle numerator
+        edges_and_triangles((1, 0, 0, -1))  # odd triangle numerator
+    with pytest.raises(NotGraphPolynomialError):
+        edges_and_triangles((0, 1, 0, -1))  # a leading zero is not monic
+    with pytest.raises(NotGraphPolynomialError):
+        edges_and_triangles(())  # no coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -231,25 +242,17 @@ def test_edges_and_triangles_rejects_non_graph_polynomials():
 # ---------------------------------------------------------------------------
 
 def test_factored_form_examples():
-    f = charpoly_pyramid_factored(6, 3)
-    assert f.to_json() == [
-        {"coefficients": [1, 0], "exponent": 2},
-        {"coefficients": [1, 1], "exponent": 2},
-        {"coefficients": [1, -2, -9], "exponent": 1},
-    ]
+    assert charpoly_pyramid_factored(6, 3) == (((1, 0), 2), ((1, 1), 2), ((1, -2, -9), 1))
     # a star: x^(n-2) (x^2 - (n-1))
-    f = charpoly_pyramid_factored(7, 1)
-    assert f.to_json() == [
-        {"coefficients": [1, 0], "exponent": 5},
-        {"coefficients": [1, 0, -6], "exponent": 1},
-    ]
-    assert charpoly_pyramid_factored(6, 2).expand() == charpoly(book_graph(6))
+    assert charpoly_pyramid_factored(7, 1) == (((1, 0), 5), ((1, 0, -6), 1))
+    assert poly_product(charpoly_pyramid_factored(6, 2)) == charpoly(book_graph(6)).coeffs
 
 
 def test_factored_form_matches_charpoly_small():
     for n in range(2, 13):
         for k in range(1, n):
-            assert charpoly_pyramid_factored(n, k).expand() == charpoly(pyramid_graph(n, k))
+            assert poly_product(charpoly_pyramid_factored(n, k)) == charpoly(
+                pyramid_graph(n, k)).coeffs
 
 
 def test_factored_form_parameter_errors():
@@ -374,7 +377,7 @@ def test_closed_form_expansion_equals_charpoly():
         cf = closed_form_spectrum(s)
         assert cf is not None, s
         assert cf.order == make_family(s).order
-        assert cf.expand() == charpoly(make_family(s)), s
+        assert cf.expand() == charpoly(make_family(s)).coeffs, s
 
 
 def test_closed_form_multiset_invariants():

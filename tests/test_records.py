@@ -12,9 +12,9 @@ import pytest
 
 import specgraph
 from specgraph import (CpVerdict, DsStats, FamilyKind, FamilySpec, IntPolynomial, NuSearchResult,
-                       RationalMatrix, canonical_form, charpoly_pyramid_factored,
-                       closed_form_spectrum, cospectral_classes, eigenvalues, is_cp_graph, is_ds,
-                       make_surd, pyramid_graph, star_cospectral_mate, star_graph, verify)
+                       RationalMatrix, canonical_form, closed_form_spectrum, cospectral_classes,
+                       eigenvalues, is_cp_graph, is_ds, make_surd, pyramid_graph,
+                       star_cospectral_mate, star_graph, verify)
 from specgraph.verify import CheckResult
 
 
@@ -39,7 +39,7 @@ def _samples() -> list:
         cospectral_classes(5), canonical_form(star), eigenvalues(star),
         NuSearchResult(7, pyramid_graph(7, 3), star_cospectral_mate(6), cycle.witness),
         RationalMatrix.from_rows([[1, Fraction(1, 2)], [0, 3]]),
-        IntPolynomial.of(1, 0, -4), charpoly_pyramid_factored(7, 3),
+        IntPolynomial((1, 0, -4)),
         make_surd(1, 1, 5, 2), closed_form_spectrum(FamilySpec(FamilyKind.STAR, (4,))),
         CheckResult("pickled", True, "ok", elapsed_s=0.5),
     ]
