@@ -6,15 +6,18 @@ whose prefix already fails the canonicity test (a non-canonical prefix can
 never extend to a canonical string).  Three rules skip a block before its
 test: the column floor (a block below twice the previous block is never
 canonical), the edge-count window of a layer sweep, and the twin rule (a
-block that holds a twin of the prefix but not its later twin is never
-canonical).  The blocks that pass the rules are tested for canonicity
+block that holds a vertex of the prefix but not all of its later twins is
+never canonical).  The blocks that pass the rules are tested for canonicity
 together, in one canonical_blocks call per prefix, which alone chooses
 between one walk of the prefix's tied orderings and one search per block.
 
 A DS search is the same walk with a fourth rule, the interlacing cut: a
 prefix whose eigenvalue counts break Cauchy interlacing against the query's
 spectrum has no extension cospectral with the query, so it is dropped before
-its canonicity test (see _InterlacingCut).
+its canonicity test (see _InterlacingCut).  When the query has exactly one
+positive eigenvalue, the cut first applies a bitmask rule, which drops a
+prefix with two before its Berkowitz level (Smith 1970 plus interlacing; see
+_multipartite_blocks).
 
 A DS search is always one walk.  A census sweep is one walk too, or, with a
 worker pool, that walk split at a prefix order: each canonical prefix of the
@@ -27,6 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
 from multiprocessing import Pool
 from typing import Iterable, Optional, Sequence
 
@@ -67,16 +71,27 @@ def _column_floor(j: int, key: int) -> int:
     return (key & ((1 << (j - 1)) - 1)) << 1
 
 
+@cache
+def _blocks_of(j: int) -> tuple[int, ...]:
+    """Entry v: the block, after a prefix of order j, that holds the vertices
+    whose bits are set in v (bit j-1-i of a block is vertex i)."""
+    if not j:
+        return (0,)
+    shorter = _blocks_of(j - 1)  # entry v >> 1 places v's vertices 1..j-1
+    return tuple([shorter[v >> 1] | (v & 1) << (j - 1) for v in range(1 << j)])
+
+
 def _twin_rule(j: int, twins: list[int], blocks: Iterable[int]) -> Iterable[int]:
     """The blocks that the twin rule keeps for a new vertex after the prefix of
-    order j with twin masks twins: for each twin pair u < w of the prefix, a
-    kept block that holds u also holds w (see _walk)."""
-    # (the pair's two bits, u's bit) for each twin pair u < w; bit j-1-i is vertex i
-    rules = [((1 << (j - 1 - u)) | (1 << (j - 1 - w)), 1 << (j - 1 - u))
-             for w in range(j) for u in range(w) if twins[w] >> u & 1]
-    if not rules:
-        return blocks
-    return [b for b in blocks if all(b & pair != u_bit for pair, u_bit in rules)]
+    order j with twin masks twins: for each vertex u of the prefix, a kept
+    block that holds u also holds all of u's later twins (see _walk).  One
+    filter per vertex that has later twins."""
+    for u, mask in enumerate(twins):
+        later = mask >> (u + 1) << (u + 1)
+        if later:
+            u_bit, held = 1 << (j - 1 - u), _blocks_of(j)[later]
+            blocks = [b for b in blocks if not b & u_bit or b & held == held]
+    return blocks
 
 
 def _blocks(n: int, edges: Optional[int], j: int, key: int, twins: list[int]) -> Iterable[int]:
@@ -89,6 +104,28 @@ def _blocks(n: int, edges: Optional[int], j: int, key: int, twins: list[int]) ->
         least = most - (pair_count(n) - pair_count(j + 1))
         blocks = [b for b in blocks if least <= b.bit_count() <= most]
     return _twin_rule(j, twins, blocks)
+
+
+def _multipartite_blocks(masks: list[int]) -> Optional[set[int]]:
+    """The blocks b for which H+b has at most one positive eigenvalue, where
+    H, given by masks, has at most one; None if every block does.
+
+    Smith's theorem (J. H. Smith, "Some properties of the spectrum of a
+    graph", 1970): a graph has at most one positive eigenvalue iff its
+    non-isolated vertices S induce a complete multipartite graph.  Let B be
+    the new vertex's neighbours and R = S minus B.  With B empty, or S empty
+    (the new vertex and B then form a star), H+b keeps the property.
+    Otherwise it keeps it iff B misses H's isolated vertices, every vertex of
+    B sees all of R, and R spans no edge: then R is one whole part of S, and
+    the new vertex joins it, or R is empty, and the new vertex is a part of
+    its own.  So the blocks kept are 0, S, and N(u) for each u in S (u's
+    part is S minus N(u)).
+    """
+    blocks = _blocks_of(len(masks))
+    reach = blocks[sum(1 << i for i, mask in enumerate(masks) if mask)]
+    if not reach:
+        return None
+    return {0, reach, *(blocks[mask] for mask in masks)}
 
 
 class _InterlacingCut:
@@ -109,6 +146,13 @@ class _InterlacingCut:
     `thresholds` holds (a, N_G(>a), N_G(<a)) for each a tested; any finite
     set of thresholds gives a sound cut.
 
+    When G has exactly one positive eigenvalue (one_positive), interlacing at
+    a = 0 bounds every prefix's positive eigenvalues by one, and
+    _multipartite_blocks tells which children keep that bound from the
+    prefix's masks alone.  Each admitted prefix keeps it, so a block outside
+    that set is cut before its level, as the level's count at a threshold
+    would cut it (such a G has the threshold 0, or is K_n with -1).
+
     Each admitted prefix carries its charpoly coefficients and, at every
     threshold a, its counts (N(>a), mult(a)); the one-vertex root carries x
     and (0 > a, a == 0).  A child's charpoly is one Berkowitz level above its
@@ -117,25 +161,36 @@ class _InterlacingCut:
     by _child_counts.  With no thresholds nothing is computed.
     """
 
-    def __init__(self, thresholds: tuple[tuple[int, int, int], ...]) -> None:
+    def __init__(self, thresholds: tuple[tuple[int, int, int], ...], one_positive: bool) -> None:
         self.thresholds = thresholds
+        self.one_positive = one_positive
         self.root = ((1, 0), tuple((int(0 > a), int(a == 0)) for a, _, _ in thresholds))
-        self.tests = 0   # prefixes admitted: each goes on to its canonicity test
-        self.cut = 0     # prefixes dropped
-        self.levels = 0  # Berkowitz levels computed
+        self.tests = 0              # prefixes admitted: each goes on to its canonicity test
+        self.cut = 0                # prefixes dropped
+        self.multipartite_cuts = 0  # of those, the ones dropped before their level
+        self.levels = 0             # Berkowitz levels computed
 
-    def rows(self, masks: list[int]) -> Optional[list[list[int]]]:
-        """The neighbour rows of the prefix given by masks, for its children's
-        levels; None with no thresholds."""
-        return [bit_indices(mask) for mask in masks] if self.thresholds else None
+    def shared(self, masks: list[int]) -> Optional[tuple]:
+        """What the children of the prefix given by masks share: its neighbour
+        rows, for their levels, and the blocks _multipartite_blocks keeps
+        (None: every block); None with no thresholds."""
+        if not self.thresholds:
+            return None
+        kept = _multipartite_blocks(masks) if self.one_positive else None
+        return [bit_indices(mask) for mask in masks], kept
 
-    def admit(self, carry: tuple, rows: Optional[list[list[int]]], b: int) -> Optional[tuple]:
+    def admit(self, carry: tuple, shared: Optional[tuple], b: int) -> Optional[tuple]:
         """The carry (charpoly, counts) of the child of the prefix with carry
-        and neighbour rows rows whose new vertex has block b; None if the
+        and shared state shared whose new vertex has block b; None if the
         child is cut.  With no thresholds the parent's carry passes through."""
         if not self.thresholds:
             self.tests += 1
             return carry
+        rows, kept = shared
+        if kept is not None and b not in kept:
+            self.multipartite_cuts += 1
+            self.cut += 1
+            return None
         j = len(rows)
         coeffs = berkowitz_level(carry[0], rows, [j - 1 - t for t in bit_indices(b)])
         self.levels += 1
@@ -217,7 +272,8 @@ def _walk(n: int, edges: Optional[int] = None, cut: Optional[_InterlacingCut] = 
     Hence b is not canonical, and neither is any extension of it.
 
     The cut, last of the rules, drops a block whose prefix it refutes before
-    that prefix's canonicity test.
+    that prefix's canonicity test: by a bitmask test when the query has one
+    positive eigenvalue, then by the prefix's Berkowitz level.
 
     The blocks left are tested together, in one canonical_blocks call per
     prefix, and the walk then descends into the canonical ones in ascending
@@ -237,10 +293,10 @@ def _walk(n: int, edges: Optional[int] = None, cut: Optional[_InterlacingCut] = 
         tested = []
         children = {}  # block -> the cut child's carry
         if cut is not None:
-            rows = cut.rows(masks)
+            shared = cut.shared(masks)
         for b in _blocks(n, edges, j, key, twins):
             if cut is not None:
-                child = cut.admit(carry, rows, b)
+                child = cut.admit(carry, shared, b)
                 if child is None:
                     continue  # no extension is cospectral with the query
                 children[b] = child
@@ -355,15 +411,19 @@ def cospectral_classes(n: int, workers: int = 1) -> EnumerationReport:
 class DsStats:
     """The work of one DS search, counted on its walk's interlacing cut: the
     prefixes admitted to their canonicity test, the prefixes cut, the layer's
-    classes that survive, and the Berkowitz levels, one per prefix counted
-    (none when the query has no integer eigenvalue, hence no threshold).  A
-    prefix is counted from its level's charpoly and its parent's counts, so
-    levels = admitted + cut whenever there is a threshold."""
+    classes that survive, the Berkowitz levels, one per prefix counted (none
+    when the query has no integer eigenvalue, hence no threshold), and the
+    prefixes cut before their level, with two positive eigenvalues against
+    the query's one (_multipartite_blocks).  Every other prefix is counted
+    from its level's charpoly and its parent's counts, so
+    berkowitz_levels + multipartite_cuts = canonicity_tests + prefixes_cut
+    whenever there is a threshold."""
 
     canonicity_tests: int
     prefixes_cut: int
     survivors: int
     berkowitz_levels: int
+    multipartite_cuts: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -413,8 +473,10 @@ def is_ds(g: Graph) -> DsVerdict:
     is the only part that needs searching.  The walk over that layer carries
     the interlacing cut at g's integer eigenvalues (_InterlacingCut): it
     drops every prefix whose eigenvalue counts rule out a cospectral
-    extension.  A query with no integer eigenvalue gets an empty cut, and its
-    walk is the plain layer sweep.
+    extension, and, for a query with one positive eigenvalue, it drops a
+    prefix with two by a bitmask test before its charpoly.  A query with no
+    integer eigenvalue gets an empty cut, and its walk is the plain layer
+    sweep.
 
     g's charpoly comes from the Berkowitz recurrence, the survivors' from the
     residue path (charpolys); the mates are the survivors with g's charpoly,
@@ -422,7 +484,8 @@ def is_ds(g: Graph) -> DsVerdict:
     own class must survive and carry g's Berkowitz charpoly, so that the two
     algorithms agree on it, and when the cut dropped nothing the survivors
     are the whole layer, whose size must equal Polya's count
-    (burnside_layer_counts).
+    (burnside_layer_counts, read at min(e, m - e): complementing maps layer
+    e onto layer m - e, m the number of pairs).
 
     Orders up to CANONICAL_ORDER_CAP are searched.  Past ENUMERATION_HARD_CAP a
     ResourceWarning names the layer's Polya count, the most classes the walk
@@ -431,19 +494,21 @@ def is_ds(g: Graph) -> DsVerdict:
     n, e = g.order, g.edge_count
     if not 1 <= n <= CANONICAL_ORDER_CAP:
         raise OrderCapError(f"DS search supports 1 <= n <= {CANONICAL_ORDER_CAP}, got {n}")
+    top = min(e, pair_count(n) - e)
     if n > ENUMERATION_HARD_CAP:
         warnings.warn(
             f"a DS search at order {n} walks layer (n={n}, e={e}), which holds "
-            f"{burnside_layer_counts(n)[e]} classes (Polya) at worst; "
+            f"{burnside_layer_counts(n, top)[top]} classes (Polya) at worst; "
             "this can take a while", ResourceWarning, stacklevel=2)
     masks = g.neighbor_masks()
     coeffs = berkowitz_charpoly(masks)
-    cut = _InterlacingCut(_integer_eigenvalue_bounds(g, coeffs))
+    cut = _InterlacingCut(_integer_eigenvalue_bounds(g, coeffs),
+                          real_rooted_counts(coeffs, 0)[0] == 1)
     keys = _walk(n, e, cut)
     stats = DsStats(canonicity_tests=cut.tests, prefixes_cut=cut.cut, survivors=len(keys),
-                    berkowitz_levels=cut.levels)
+                    berkowitz_levels=cut.levels, multipartite_cuts=cut.multipartite_cuts)
     if not stats.prefixes_cut:
-        expected = burnside_layer_counts(n)[e]
+        expected = burnside_layer_counts(n, top)[top]
         if len(keys) != expected:
             raise SpecGraphError(
                 f"layer (n={n}, e={e}) has {len(keys)} classes, but Polya counts {expected}")
@@ -563,16 +628,19 @@ def burnside_graph_count(n: int) -> int:
     return total // math.factorial(n)
 
 
-def burnside_layer_counts(n: int) -> list[int]:
-    """Number of unlabeled graphs on n vertices with e edges, for e = 0..C(n, 2).
+def burnside_layer_counts(n: int, top: Optional[int] = None) -> list[int]:
+    """Number of unlabeled graphs on n vertices with e edges, for e = 0..C(n, 2),
+    or for e = 0..top with top set.
 
     Polya's form of burnside_graph_count: a pair cycle of length l contributes
     1 + x^l instead of 2, so the coefficient of x^e counts the classes with e
     edges.  A cycle of length c holds (c - 1) // 2 pair cycles of length c,
     plus one of length c / 2 when c is even; two cycles of lengths a and b
-    hold gcd(a, b) pair cycles of length lcm(a, b).
+    hold gcd(a, b) pair cycles of length lcm(a, b).  With top set, each
+    product is truncated past x^top, which leaves its lower coefficients
+    exact.
     """
-    m = pair_count(n)
+    m = pair_count(n) if top is None else top
     total = [0] * (m + 1)
     for part in _partitions(n):
         lengths = [c for c in part for _ in range((c - 1) // 2)]
@@ -582,9 +650,9 @@ def burnside_layer_counts(n: int) -> list[int]:
             for i, a in enumerate(part) for b in part[i + 1:]
             for _ in range(math.gcd(a, b))]
         poly = [1] + [0] * m
-        degree = 0  # the lengths sum to m, so the product's degree never passes it
+        degree = 0  # the lengths sum to C(n, 2), so only a truncation caps the degree
         for l in lengths:
-            degree += l
+            degree = min(degree + l, m)
             for e in range(degree, l - 1, -1):
                 poly[e] += poly[e - l]
         perms = _cycle_type_size(n, part)

@@ -82,7 +82,8 @@ def test_records_survive_a_pickle_round_trip():
         assert hash(copy) == hash(record)
         for field in dataclasses.fields(record):  # also the fields kept out of equality
             assert getattr(copy, field.name) == getattr(record, field.name), field.name
-    stats = DsStats(canonicity_tests=3, prefixes_cut=1, survivors=2, berkowitz_levels=4)
+    stats = DsStats(canonicity_tests=3, prefixes_cut=1, survivors=2, berkowitz_levels=4,
+                     multipartite_cuts=0)
     assert pickle.loads(pickle.dumps(stats)) == stats
 
 

@@ -145,6 +145,18 @@ def test_burnside_layer_counts_refine_the_graph_count():
     assert search.burnside_layer_counts(9)[15] == 21933
 
 
+def test_truncated_polya_product_gives_each_layer_count():
+    # is_ds reads layer e as the last coefficient of the product truncated at
+    # min(e, m - e); complementing maps layer e onto layer m - e
+    for n in range(1, 11):
+        m = pair_count(n)
+        full = search.burnside_layer_counts(n)
+        for e in range(m + 1):
+            top = min(e, m - e)
+            truncated = search.burnside_layer_counts(n, top)
+            assert len(truncated) == top + 1 and truncated[-1] == full[e], (n, e)
+
+
 def test_enumerated_representatives_are_canonical_and_distinct():
     for n in range(1, 7):
         graphs = enumerate_graphs(n)
@@ -439,19 +451,56 @@ def test_is_ds_caps_its_order():
 def test_ds_stats_are_pinned_and_kept_out_of_equality_and_json():
     star = is_ds(star_graph(7))
     assert star.stats == search.DsStats(canonicity_tests=38, prefixes_cut=148, survivors=1,
-                                        berkowitz_levels=186)
+                                        berkowitz_levels=51, multipartite_cuts=135)
     with pytest.warns(ResourceWarning):
         square = is_ds(star_graph(9))  # thresholds -3, 0 and 3
     assert square.stats == search.DsStats(canonicity_tests=70, prefixes_cut=482, survivors=2,
-                                          berkowitz_levels=552)
+                                          berkowitz_levels=98, multipartite_cuts=454)
     # no threshold: a plain layer sweep, which computes no charpoly
     assert is_ds(path_graph(4)).stats == search.DsStats(
-        canonicity_tests=9, prefixes_cut=0, survivors=3, berkowitz_levels=0)
+        canonicity_tests=9, prefixes_cut=0, survivors=3, berkowitz_levels=0, multipartite_cuts=0)
     book = is_ds(pyramid_graph(7, 2))
     assert book.stats == search.DsStats(canonicity_tests=33, prefixes_cut=80, survivors=1,
-                                        berkowitz_levels=113)
+                                        berkowitz_levels=42, multipartite_cuts=71)
     assert star == DsVerdict(is_ds=True, mates=(), searched_order=8)
     assert set(star.to_json()) == {"is_ds", "mates", "searched_order"}
+
+
+def test_ds_stats_count_one_level_per_prefix_not_cut_before_it():
+    # the perfbench DS queries, each of which has one positive eigenvalue
+    queries = [pyramid_graph(7, k) for k in range(2, 7)] + [star_graph(6), star_graph(7)]
+    levels = 0
+    for g in queries:
+        stats = is_ds(g).stats
+        assert (stats.berkowitz_levels + stats.multipartite_cuts
+                == stats.canonicity_tests + stats.prefixes_cut), graph6_encode(g)
+        levels += stats.berkowitz_levels
+    assert levels == 198  # 345 over a perfbench round, which asks all but the last twice
+
+
+def test_multipartite_rule_cuts_exactly_the_blocks_with_two_positive_eigenvalues():
+    # Smith's theorem, checked block by block against a Descartes count of
+    # H+b's own Berkowitz charpoly, for each H with at most one positive eigenvalue
+    pairs = 0
+    for n in range(1, 7):
+        for h in enumerate_graphs(n):
+            masks = h.neighbor_masks()
+            if real_rooted_counts(berkowitz_charpoly(masks), 0)[0] > 1:
+                continue
+            kept = search._multipartite_blocks(masks)
+            for b in range(1 << n):
+                two = real_rooted_counts(berkowitz_charpoly(add_column(masks, b)), 0)[0] > 1
+                assert (kept is not None and b not in kept) == two, (graph6_encode(h), b)
+                pairs += 1
+    assert pairs == 2154
+
+
+def test_paper_families_at_order_12_are_ds():
+    # every pyramid T_{12,k} and the star with 11 leaves, at the order cap
+    for g in [pyramid_graph(12, k) for k in range(2, 12)] + [star_graph(11)]:
+        with pytest.warns(ResourceWarning, match="Polya"):
+            verdict = is_ds(g)
+        assert verdict.is_ds and verdict.mates == (), graph6_encode(g)
 
 
 def test_interlacing_thresholds_are_the_integer_eigenvalues():
@@ -478,13 +527,14 @@ def test_carried_counts_equal_the_descartes_count_on_every_prefix_chain(rng):
     graphs += [pyramid_graph(n, k) for n in range(3, 11) for k in range(1, n)]
     for g in graphs:
         n, masks = g.order, g.neighbor_masks()
-        cut = search._InterlacingCut(tuple((a, n, n) for a in thresholds))  # cuts nothing
+        # cuts nothing: every threshold's bounds are the order, and no bitmask rule
+        cut = search._InterlacingCut(tuple((a, n, n) for a in thresholds), False)
         carry = cut.root
         assert list(carry[1]) == [real_rooted_counts((1, 0), a) for a in thresholds]
         for j in range(1, n):  # as the walk extends the prefix on vertices 0..j-1
             prefix = [mask & ((1 << j) - 1) for mask in masks[:j]]
             block = sum(1 << (j - 1 - i) for i in range(j) if masks[j] >> i & 1)
-            carry = cut.admit(carry, cut.rows(prefix), block)
+            carry = cut.admit(carry, cut.shared(prefix), block)
             coeffs = berkowitz_charpoly(masks[:j + 1])
             assert tuple(carry[0]) == coeffs, (graph6_encode(g), j)
             assert list(carry[1]) == [real_rooted_counts(coeffs, a) for a in thresholds], (
