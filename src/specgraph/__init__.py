@@ -11,9 +11,8 @@ from .cp import (CpReason, CpVerdict, find_long_odd_cycle, is_bipartite, is_cp_g
                  line_graph_perfection_cross_check)
 from .errors import (Graph6Error, NotGraphPolynomialError, OrderCapError,
                      ParameterError, SingularMatrixError, SpecGraphError)
-from .exact import (ClosedFormSpectrum, QuadraticSurd, are_cospectral, charpoly,
-                    charpoly_pyramid_factored, charpolys, closed_form_spectrum,
-                    edges_and_triangles, make_surd, quadratic_roots)
+from .exact import (ClosedFormSpectrum, QuadraticSurd, are_cospectral, charpoly, charpolys,
+                    closed_form_spectrum, edges_and_triangles, make_surd, quadratic_roots)
 from .graph6 import graph6_decode, graph6_encode, to_dot
 from .graphs import (FamilyKind, FamilySpec, Graph, book_graph, complement,
                      complete_bipartite_graph, complete_graph, cycle_graph, disjoint_union, empty_graph, induced_subgraph,

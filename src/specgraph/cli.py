@@ -18,8 +18,8 @@ from . import verify as verify_mod
 from .canonical import CANONICAL_ORDER_CAP, is_isomorphic
 from .cp import LONG_ODD_CYCLE_ORDER_CAP, find_long_odd_cycle, is_cp_graph
 from .errors import OrderCapError, SpecGraphError
-from .exact import (CHARPOLY_ORDER_CAP, are_cospectral, charpoly, charpoly_pyramid_factored,
-                    charpolys, closed_form_spectrum)
+from .exact import (CHARPOLY_ORDER_CAP, are_cospectral, charpoly, charpolys,
+                    closed_form_spectrum)
 from .graph6 import graph6_decode, graph6_encode, to_dot
 from .graphs import FamilyKind, FamilySpec, Graph, make_family
 from .numeric import eigenvalues
@@ -125,7 +125,7 @@ def _cmd_charpoly(args) -> int:
     }
     if spec is not None and spec.kind is FamilyKind.PYRAMID:
         payload["factored"] = [{"coefficients": list(base), "exponent": exponent}
-                               for base, exponent in charpoly_pyramid_factored(*spec.params)]
+                               for base, exponent in closed_form_spectrum(spec).factors]
     _emit(payload, args.format)
     return 0
 

@@ -35,11 +35,12 @@ recurrence in Python integers, on the leading block's neighbour rows and the
 new vertex's column.  The DS search extends a prefix's charpoly by one
 vertex with it, building the prefix's rows once for all the children it
 tests, and its fold ``berkowitz_charpoly`` is the independent reference for
-the residue routine.  Closed-form spectra hold eigenvalues as exact
-rationals or quadratic surds and expand back into the characteristic
-polynomial's coefficients for cross-checking; the pyramid's factored form
-is a tuple of (coefficients, exponent) pairs.  Edge and triangle counts are
-read off a charpoly's coefficients.
+the residue routine.  A closed-form spectrum is the one factored form of a
+family's charpoly: (coefficients, exponent) pairs of monic integer linear
+and quadratic factors, as the paper's factorisations give them.  Its
+eigenvalues, exact rationals or quadratic surds, are read off the factors,
+and the factors multiplied out are the charpoly.  Edge and triangle counts
+are read off a charpoly's coefficients.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -296,24 +297,6 @@ def edges_and_triangles(coeffs: Sequence[int]) -> tuple[int, int]:
     return edges, twice_triangles // 2
 
 
-def charpoly_pyramid_factored(n: int, k: int) -> tuple[tuple[Coeffs, int], ...]:
-    """Characteristic polynomial of the pyramid graph on (n, k), in factored form:
-
-        x^(n-k-1) * (x+1)^(k-1) * (x^2 + (1-k) x - (n-k) k)
-
-    as (coefficients, exponent) pairs, positive exponents only.
-    """
-    if not 1 <= k < n:
-        raise ParameterError(f"pyramid requires 1 <= k < n, got (n={n}, k={k})")
-    factors = []
-    if n - k - 1 > 0:
-        factors.append(((1, 0), n - k - 1))
-    if k - 1 > 0:
-        factors.append(((1, 1), k - 1))
-    factors.append(((1, 1 - k, -(n - k) * k), 1))
-    return tuple(factors)
-
-
 # ---------------------------------------------------------------------------
 # algebraic eigenvalues: rationals and quadratic surds
 # ---------------------------------------------------------------------------
@@ -340,30 +323,12 @@ class QuadraticSurd:
     d: int
     c: int
 
-    def conjugate(self) -> "QuadraticSurd":
-        return QuadraticSurd(self.a, -self.b, self.d, self.c)
-
-    @property
-    def trace(self) -> Fraction:
-        """Sum with the conjugate."""
-        return Fraction(2 * self.a, self.c)
-
-    @property
-    def norm(self) -> Fraction:
-        """Product with the conjugate."""
-        return Fraction(self.a * self.a - self.b * self.b * self.d, self.c * self.c)
-
     def __float__(self) -> float:
         return (self.a + self.b * math.sqrt(self.d)) / self.c
 
-    def __str__(self) -> str:
-        num = f"{self.a} {'+' if self.b >= 0 else '-'} {abs(self.b)}*sqrt({self.d})"
-        if self.b in (1, -1):
-            num = f"{self.a} {'+' if self.b == 1 else '-'} sqrt({self.d})"
-        return f"({num})/{self.c}" if self.c != 1 else f"({num})"
-
 
 AlgebraicValue = Union[Fraction, QuadraticSurd]
+Factors = tuple[tuple[Coeffs, int], ...]  # (coefficients, exponent) pairs
 
 
 def make_surd(a: int, b: int, d: int, c: int) -> AlgebraicValue:
@@ -397,66 +362,52 @@ def quadratic_roots(b: int, c: int) -> tuple[AlgebraicValue, AlgebraicValue]:
 
 @dataclass(frozen=True, slots=True)
 class ClosedFormSpectrum:
-    """Multiset of exact eigenvalues: ((value, multiplicity), ...) ascending."""
+    """A family's exact spectrum as its characteristic polynomial's factors:
+    (coefficients, exponent) pairs, each factor a monic integer polynomial of
+    degree 1 or 2 with real roots, each exponent positive."""
 
-    entries: tuple[tuple[AlgebraicValue, int], ...]
+    factors: Factors
 
-    @classmethod
-    def build(cls, pairs) -> "ClosedFormSpectrum":
+    def _ascending(self) -> list[tuple[float, AlgebraicValue, int]]:
+        """(approximation, value, multiplicity) of each distinct root, equal
+        roots of different factors merged, ascending."""
         merged: dict[AlgebraicValue, int] = {}
-        for value, mult in pairs:
-            if mult < 0:
-                raise ParameterError("negative multiplicity")
-            if mult:
-                merged[value] = merged.get(value, 0) + mult
-        ordered = sorted(merged.items(), key=lambda kv: float(kv[0]))
-        return cls(tuple(ordered))
+        for coeffs, exponent in self.factors:
+            roots = quadratic_roots(*coeffs[1:]) if len(coeffs) == 3 else (Fraction(-coeffs[1]),)
+            for root in roots:
+                merged[root] = merged.get(root, 0) + exponent
+        return sorted([(float(v), v, m) for v, m in merged.items()], key=itemgetter(0))
+
+    @property
+    def entries(self) -> tuple[tuple[AlgebraicValue, int], ...]:
+        """((value, multiplicity), ...), ascending."""
+        return tuple((value, mult) for _, value, mult in self._ascending())
 
     @property
     def order(self) -> int:
-        return sum(m for _, m in self.entries)
+        return sum((len(coeffs) - 1) * exponent for coeffs, exponent in self.factors)
 
     def values_float(self) -> list[float]:
         """All eigenvalues as floats, repeated by multiplicity, ascending."""
-        out = []
-        for value, mult in self.entries:
-            out.extend([float(value)] * mult)
+        out: list[float] = []
+        for approx, _, mult in self._ascending():
+            out += [approx] * mult
         return out
 
     def expand(self) -> Coeffs:
-        """prod (x - value)^mult, verified to have integer coefficients."""
-        factors = []
-        seen_surds = set()
-        for value, mult in self.entries:
-            if isinstance(value, Fraction):
-                coeffs = (1, -value)
-            else:
-                if value in seen_surds:
-                    continue
-                conj = value.conjugate()
-                conj_mult = dict(self.entries).get(conj)
-                if conj_mult != mult:
-                    raise ParameterError(
-                        f"surd {value} lacks a conjugate of equal multiplicity")
-                seen_surds.add(conj)
-                coeffs = (1, -value.trace, value.norm)
-            # Gauss's lemma: a product of monic rational factors is integral
-            # exactly when every factor is
-            if any(c.denominator != 1 for c in coeffs):
-                raise ParameterError("expansion is not an integer polynomial")
-            factors.append((tuple(int(c) for c in coeffs), mult))
-        return poly_product(factors)
+        """The characteristic polynomial's coefficients: the factors multiplied out."""
+        return poly_product(self.factors)
 
     def to_json(self) -> list[dict]:
         out = []
-        for value, mult in self.entries:
+        for approx, value, mult in self._ascending():
             if isinstance(value, Fraction):
                 item = {"kind": "rational", "numerator": value.numerator,
                         "denominator": value.denominator}
             else:
                 item = {"kind": "quadratic-surd", "a": value.a, "b": value.b,
                         "d": value.d, "c": value.c}
-            item["approx"] = float(value)
+            item["approx"] = approx
             item["multiplicity"] = mult
             out.append(item)
         return out
@@ -474,18 +425,19 @@ def _strip(rem: Coeffs, factor: Coeffs) -> tuple[Coeffs, int]:
     return rem, count
 
 
-def _split_into_small_factors(p: Coeffs, root_bound: int) -> Optional[ClosedFormSpectrum]:
-    """Factor a monic integer polynomial into linear and quadratic pieces.
+def _split_into_small_factors(p: Coeffs, root_bound: int) -> Optional[Factors]:
+    """Factor a monic integer polynomial into linear and quadratic pieces,
+    as (coefficients, exponent) pairs.
 
     All roots are assumed real with |root| <= root_bound.  Returns None when
     an irreducible factor of degree > 2 remains.
     """
     rem = p
-    pairs: list[tuple[AlgebraicValue, int]] = []
+    factors: list[tuple[Coeffs, int]] = []
     for r in range(-root_bound, root_bound + 1):
         rem, count = _strip(rem, (1, -r))
         if count:
-            pairs.append((Fraction(r), count))
+            factors.append(((1, -r), count))
     for b in range(-2 * root_bound, 2 * root_bound + 1):
         for c in range(-root_bound * root_bound, root_bound * root_bound + 1):
             disc = b * b - 4 * c
@@ -493,38 +445,39 @@ def _split_into_small_factors(p: Coeffs, root_bound: int) -> Optional[ClosedForm
                 continue  # only irreducible real quadratics
             rem, count = _strip(rem, (1, b, c))
             if count:
-                lo, hi = quadratic_roots(b, c)
-                pairs.append((lo, count))
-                pairs.append((hi, count))
+                factors.append(((1, b, c), count))
     if len(rem) != 1:
         return None
-    return ClosedFormSpectrum.build(pairs)
+    return tuple(factors)
+
+
+def _closed_form(*factors: tuple[Coeffs, int]) -> ClosedFormSpectrum:
+    """The record of the factors whose exponent is positive, in the given order."""
+    return ClosedFormSpectrum(tuple([f for f in factors if f[1]]))
 
 
 def closed_form_spectrum(spec: FamilySpec) -> Optional[ClosedFormSpectrum]:
     """Exact spectrum of a named family, or None when no rational/quadratic
-    closed form exists (irrational-cosine paths and cycles)."""
+    closed form exists (irrational-cosine paths and cycles).  The pyramid's
+    factors are x^(n-k-1), (x+1)^(k-1) and x^2 + (1-k) x - (n-k) k, in that
+    order."""
     kind, p = spec.kind, spec.params
     if kind is FamilyKind.COMPLETE:
         n = p[0]
-        return ClosedFormSpectrum.build([(Fraction(-1), n - 1), (Fraction(n - 1), 1)])
+        return _closed_form(((1, 1), n - 1), ((1, 1 - n), 1))
     if kind is FamilyKind.EMPTY:
-        return ClosedFormSpectrum.build([(Fraction(0), p[0])])
+        return _closed_form(((1, 0), p[0]))
     if kind is FamilyKind.STAR:
         n = p[0]
-        return ClosedFormSpectrum.build([
-            (make_surd(0, -1, n, 1), 1), (Fraction(0), n - 1), (make_surd(0, 1, n, 1), 1)])
+        return _closed_form(((1, 0), n - 1), ((1, 0, -n), 1))
     if kind is FamilyKind.COMPLETE_BIPARTITE:
         m, n = p
-        return ClosedFormSpectrum.build([
-            (make_surd(0, -1, m * n, 1), 1), (Fraction(0), m + n - 2),
-            (make_surd(0, 1, m * n, 1), 1)])
+        return _closed_form(((1, 0), m + n - 2), ((1, 0, -m * n), 1))
     if kind is FamilyKind.PYRAMID:
         n, k = p
-        lo, hi = quadratic_roots(1 - k, -(n - k) * k)
-        return ClosedFormSpectrum.build([
-            (lo, 1), (Fraction(-1), k - 1), (Fraction(0), n - k - 1), (hi, 1)])
+        return _closed_form(((1, 0), n - k - 1), ((1, 1), k - 1), ((1, 1 - k, -(n - k) * k), 1))
     if kind in (FamilyKind.PATH, FamilyKind.CYCLE):
         # eigenvalues are 2cos(.) in [-2, 2]; keep only rational/quadratic spectra
-        return _split_into_small_factors(charpoly(make_family(spec)).coeffs, 2)
+        factors = _split_into_small_factors(charpoly(make_family(spec)).coeffs, 2)
+        return None if factors is None else ClosedFormSpectrum(factors)
     raise ParameterError(f"unknown family kind {kind!r}")

@@ -76,65 +76,50 @@ class RationalMatrix:
     def determinant(self) -> Fraction:
         if not self.is_square:
             raise ParameterError("determinant of a non-square matrix")
-        n = self.nrows
-        a = [list(r) for r in self.entries]
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                det = -det
-            det *= a[col][col]
-            inv = 1 / a[col][col]
-            for r in range(col + 1, n):
-                if a[r][col] != 0:
-                    f = a[r][col] * inv
-                    for c in range(col, n):
-                        a[r][c] -= f * a[col][c]
-        return det
+        det, rank, _ = _gauss_jordan([list(r) for r in self.entries], self.ncols)
+        return det if rank == self.nrows else Fraction(0)
 
     def rank(self) -> int:
-        a = [list(r) for r in self.entries]
-        nr, nc = self.nrows, self.ncols
-        rank = 0
-        row = 0
-        for col in range(nc):
-            pivot = next((r for r in range(row, nr) if a[r][col] != 0), None)
-            if pivot is None:
-                continue
-            a[row], a[pivot] = a[pivot], a[row]
-            inv = 1 / a[row][col]
-            for r in range(row + 1, nr):
-                if a[r][col] != 0:
-                    f = a[r][col] * inv
-                    for c in range(col, nc):
-                        a[r][c] -= f * a[row][c]
-            rank += 1
-            row += 1
-            if row == nr:
-                break
-        return rank
+        return _gauss_jordan([list(r) for r in self.entries], self.ncols)[1]
 
     def inverse(self) -> "RationalMatrix":
         if not self.is_square:
             raise ParameterError("inverse of a non-square matrix")
         n = self.nrows
-        a = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-             for i, r in enumerate(self.entries)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if pivot is None:
-                raise SingularMatrixError("matrix is singular")
-            a[col], a[pivot] = a[pivot], a[col]
-            inv = 1 / a[col][col]
-            a[col] = [v * inv for v in a[col]]
-            for r in range(n):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [v - f * p for v, p in zip(a[r], a[col])]
-        return RationalMatrix(tuple(tuple(row[n:]) for row in a))
+        augmented = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+                     for i, r in enumerate(self.entries)]
+        _, rank, rows = _gauss_jordan(augmented, n)
+        if rank < n:
+            raise SingularMatrixError("matrix is singular")
+        # row i's pivot is its i-th entry: divide it out of row i's part of I
+        return RationalMatrix(tuple(
+            tuple(v / row[i] for v in row[n:]) for i, row in enumerate(rows)))
+
+
+def _gauss_jordan(rows: list[list[Fraction]],
+                  ncols: int) -> tuple[Fraction, int, list[list[Fraction]]]:
+    """Gauss-Jordan elimination in place over the first ncols columns of rows:
+    each pivot is left the only nonzero entry of its column, unscaled.
+    Returns the product of the pivots, negated once per row swap (the
+    determinant, when those columns are square and of full rank); the number
+    of pivots (the rank); and the rows."""
+    det, rank = Fraction(1), 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            det = -det
+        lead = rows[rank][col]
+        det *= lead
+        pivot_row = rows[rank][col:]  # left of col, it is 0
+        for r, row in enumerate(rows):
+            if r != rank and row[col]:
+                f = row[col] / lead
+                row[col:] = [v - f * p for v, p in zip(row[col:], pivot_row)]
+        rank += 1
+    return det, rank, rows
 
 
 def schur_complement(m: RationalMatrix, split: int) -> RationalMatrix:

@@ -21,11 +21,11 @@ from .canonical import canonical_form
 from .cp import (check_long_odd_cycle_witness, is_bipartite, is_cp_graph,
                  line_graph_perfection_cross_check)
 from .errors import ParameterError
-from .exact import are_cospectral, charpoly, charpoly_pyramid_factored, edges_and_triangles
-from .graphs import (Graph, book_graph, cycle_graph, disjoint_union, empty_graph,
-                     is_connected, pyramid_graph, star_graph)
+from .exact import are_cospectral, charpoly, closed_form_spectrum, edges_and_triangles
+from .graphs import (FamilyKind, FamilySpec, Graph, book_graph, cycle_graph, disjoint_union,
+                     empty_graph, is_connected, pyramid_graph, star_graph)
 from .numeric import count_geq, eigenvalues, verify_interlacing
-from .polynomials import poly_mul, poly_product
+from .polynomials import poly_mul
 from .rational import RationalMatrix, verify_schur_identities
 from .search import (burnside_graph_count, cospectral_classes, enumerate_graphs, is_ds,
                      smallest_non_cp_non_ds_order, star_cospectral_mate)
@@ -97,7 +97,7 @@ def check_pyramid_charpoly_factorization() -> CheckResult:
     count = 0
     for n in range(2, 31):
         for k in range(1, n):
-            expanded = poly_product(charpoly_pyramid_factored(n, k))
+            expanded = closed_form_spectrum(FamilySpec(FamilyKind.PYRAMID, (n, k))).expand()
             direct = charpoly(pyramid_graph(n, k)).coeffs
             count += 1
             if expanded != direct:

@@ -9,12 +9,11 @@ import pytest
 from conftest import direct_triangle_count, random_graph
 from specgraph import (FamilyKind, FamilySpec, Graph, NotGraphPolynomialError,
                        OrderCapError, ParameterError, QuadraticSurd, are_cospectral,
-                       book_graph, charpoly, charpoly_pyramid_factored, charpolys,
-                       closed_form_spectrum, complete_graph, cycle_graph,
-                       disjoint_union, empty_graph, edges_and_triangles, enumerate_graphs,
-                       make_family, make_surd, path_graph, pyramid_graph, quadratic_roots,
-                       star_graph)
-from specgraph.exact import (PRIMES, ClosedFormSpectrum, _plan, berkowitz_charpoly, berkowitz_level,
+                       book_graph, charpoly, charpolys, closed_form_spectrum, complete_graph,
+                       cycle_graph, disjoint_union, empty_graph, edges_and_triangles,
+                       enumerate_graphs, make_family, make_surd, path_graph, pyramid_graph,
+                       quadratic_roots, star_graph)
+from specgraph.exact import (PRIMES, _plan, berkowitz_charpoly, berkowitz_level,
                             charpoly_rows, hadamard_bound_squared)
 from specgraph.polynomials import poly_mul, poly_product
 
@@ -113,11 +112,12 @@ def test_charpolys_equal_closed_forms_up_to_order_64():
             assert charpoly(star_graph(n - 1)).coeffs == poly_product(
                 [((1, 0), n - 2), ((1, 0, -(n - 1)), 1)])
         if n % 7 == 3:
-            assert charpoly(book_graph(n)).coeffs == poly_product(charpoly_pyramid_factored(n, 2))
+            assert charpoly(book_graph(n)).coeffs == poly_product(
+                closed_form_spectrum(spec(FamilyKind.PYRAMID, n, 2)).factors)
     for n in (16, 31, 64):
         ks = (1, 2, 3, n // 2, n - 2, n - 1)
         assert charpolys([pyramid_graph(n, k) for k in ks]) == [
-            poly_product(charpoly_pyramid_factored(n, k)) for k in ks]
+            poly_product(closed_form_spectrum(spec(FamilyKind.PYRAMID, n, k)).factors) for k in ks]
 
 
 def test_primes_table():
@@ -241,25 +241,29 @@ def test_edges_and_triangles_rejects_non_graph_polynomials():
 # pyramid factored charpoly
 # ---------------------------------------------------------------------------
 
+def pyramid_factors(n, k):
+    return closed_form_spectrum(spec(FamilyKind.PYRAMID, n, k)).factors
+
+
 def test_factored_form_examples():
-    assert charpoly_pyramid_factored(6, 3) == (((1, 0), 2), ((1, 1), 2), ((1, -2, -9), 1))
+    assert pyramid_factors(6, 3) == (((1, 0), 2), ((1, 1), 2), ((1, -2, -9), 1))
     # a star: x^(n-2) (x^2 - (n-1))
-    assert charpoly_pyramid_factored(7, 1) == (((1, 0), 5), ((1, 0, -6), 1))
-    assert poly_product(charpoly_pyramid_factored(6, 2)) == charpoly(book_graph(6)).coeffs
+    assert pyramid_factors(7, 1) == (((1, 0), 5), ((1, 0, -6), 1))
+    assert poly_product(pyramid_factors(6, 2)) == charpoly(book_graph(6)).coeffs
 
 
 def test_factored_form_matches_charpoly_small():
     for n in range(2, 13):
         for k in range(1, n):
-            assert poly_product(charpoly_pyramid_factored(n, k)) == charpoly(
+            assert poly_product(pyramid_factors(n, k)) == charpoly(
                 pyramid_graph(n, k)).coeffs
 
 
 def test_factored_form_parameter_errors():
     with pytest.raises(ParameterError):
-        charpoly_pyramid_factored(4, 4)
+        pyramid_factors(4, 4)
     with pytest.raises(ParameterError):
-        charpoly_pyramid_factored(4, 0)
+        pyramid_factors(4, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +282,6 @@ def test_surd_normalization():
 
 def test_surd_arithmetic_views():
     s = QuadraticSurd(1, 3, 17, 2)  # (1 + 3 sqrt(17))/2
-    assert s.conjugate() == QuadraticSurd(1, -3, 17, 2)
-    assert s.trace == Fraction(1)
-    assert s.norm == Fraction(1 - 9 * 17, 4)
     assert abs(float(s) - (1 + 3 * 17 ** 0.5) / 2) < 1e-12
 
 
@@ -324,7 +325,7 @@ def test_pyramid_closed_form_merges_complete_graph_case():
     # n = k + 1 gives the complete graph: the quadratic root -1 merges
     cf = closed_form_spectrum(spec(FamilyKind.PYRAMID, 5, 4))
     assert cf.entries == ((Fraction(-1), 4), (Fraction(4), 1))
-    assert cf == closed_form_spectrum(spec(FamilyKind.COMPLETE, 5))
+    assert cf.entries == closed_form_spectrum(spec(FamilyKind.COMPLETE, 5)).entries
 
 
 def test_table_closed_forms():
@@ -361,23 +362,52 @@ def test_irrational_cosine_spectra_refuse():
     assert closed_form_spectrum(spec(FamilyKind.PATH, 7)) is None
 
 
+# every supported family up to order 30
+CLOSED_FORM_CASES = (
+    [spec(FamilyKind.COMPLETE, n) for n in range(1, 31)]
+    + [spec(FamilyKind.EMPTY, n) for n in (1, 4, 9, 30)]
+    + [spec(FamilyKind.STAR, n) for n in range(1, 30)]
+    + [spec(FamilyKind.COMPLETE_BIPARTITE, m, n)
+       for m in range(1, 16) for n in range(m, 31 - m)]
+    + [spec(FamilyKind.PYRAMID, n, k) for n in range(2, 31) for k in range(1, n)]
+    + [spec(FamilyKind.CYCLE, n) for n in (4, 5, 6, 8, 10, 12)]
+    + [spec(FamilyKind.PATH, n) for n in (2, 3, 4, 5)]
+)
+
+
 def test_closed_form_expansion_equals_charpoly():
-    # every supported family up to order 30
-    cases = (
-        [spec(FamilyKind.COMPLETE, n) for n in range(1, 31)]
-        + [spec(FamilyKind.EMPTY, n) for n in (1, 4, 9, 30)]
-        + [spec(FamilyKind.STAR, n) for n in range(1, 30)]
-        + [spec(FamilyKind.COMPLETE_BIPARTITE, m, n)
-           for m in range(1, 16) for n in range(m, 31 - m)]
-        + [spec(FamilyKind.PYRAMID, n, k) for n in range(2, 31) for k in range(1, n)]
-        + [spec(FamilyKind.CYCLE, n) for n in (4, 5, 6, 8, 10, 12)]
-        + [spec(FamilyKind.PATH, n) for n in (2, 3, 4, 5)]
-    )
-    for s in cases:
+    for s in CLOSED_FORM_CASES:
         cf = closed_form_spectrum(s)
         assert cf is not None, s
         assert cf.order == make_family(s).order
         assert cf.expand() == charpoly(make_family(s)).coeffs, s
+
+
+def _at(coeffs, value) -> tuple[Fraction, Fraction]:
+    """(rational part, sqrt(d) part) of the polynomial at (a + b sqrt(d))/c, by Horner."""
+    if isinstance(value, Fraction):
+        a, b, d, c = value.numerator, 0, 1, value.denominator
+    else:
+        a, b, d, c = value.a, value.b, value.d, value.c
+    r = s = Fraction(0)
+    for coef in coeffs:
+        r, s = (r * a + s * b * d) / c + coef, (r * b + s * a) / c
+    return r, s
+
+
+def test_closed_form_entries_are_exact_roots_of_their_factors():
+    assert _at((1, -1, -8), QuadraticSurd(1, 1, 33, 2)) == (0, 0)  # x^2 - x - 8
+    assert _at((1, -1, -8), QuadraticSurd(1, 1, 31, 2)) != (0, 0)
+    for s in CLOSED_FORM_CASES:
+        cf = closed_form_spectrum(s)
+        for value, mult in cf.entries:
+            # both parts vanish, sqrt(d) being irrational; the factors holding
+            # the value as a root account for its whole multiplicity
+            holding = [e for coeffs, e in cf.factors if _at(coeffs, value) == (0, 0)]
+            assert sum(holding) == mult, (s, value)
+        g = make_family(s)
+        numeric = np.linalg.eigvalsh(np.array(g.adjacency_rows(), dtype=float))
+        assert np.allclose(cf.values_float(), numeric, rtol=0, atol=1e-9), s
 
 
 def test_closed_form_multiset_invariants():
@@ -386,20 +416,6 @@ def test_closed_form_multiset_invariants():
     values = cf.values_float()
     assert values == sorted(values)
     assert abs(sum(values)) < 1e-9  # trace zero
-
-
-def test_expand_requires_conjugate_pairs():
-    lone = ClosedFormSpectrum.build([(QuadraticSurd(0, 1, 2, 1), 1), (Fraction(0), 1)])
-    with pytest.raises(ParameterError):
-        lone.expand()
-
-
-def test_expand_requires_integer_factors():
-    # (x - 1/2)^2 and the conjugate pair (1 +- sqrt(2))/2, of norm -1/4
-    for pairs in ([(Fraction(1, 2), 2)],
-                  [(QuadraticSurd(1, 1, 2, 2), 1), (QuadraticSurd(1, -1, 2, 2), 1)]):
-        with pytest.raises(ParameterError):
-            ClosedFormSpectrum.build(pairs).expand()
 
 
 def test_closed_form_serialization():

@@ -46,6 +46,9 @@ def test_determinant_rank_inverse():
     assert singular.rank() == 1
     with pytest.raises(SingularMatrixError):
         singular.inverse()
+    # non-square, with a column that has no pivot
+    assert RationalMatrix.from_rows([[0, 1, 2], [0, 2, 5]]).rank() == 2
+    assert RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6]]).rank() == 1
 
 
 def test_determinant_matches_leibniz_oracle(rng):
@@ -54,7 +57,11 @@ def test_determinant_matches_leibniz_oracle(rng):
         m = RationalMatrix.from_rows([
             [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)]
             for _ in range(n)])
-        assert m.determinant() == laplace_determinant(m)
+        det = m.determinant()
+        assert det == laplace_determinant(m)
+        assert (m.rank() == n) == (det != 0)
+        if det:
+            assert m.inverse() * m == RationalMatrix.identity(n)
 
 
 def test_scalar_schur_complement():
